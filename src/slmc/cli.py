@@ -26,8 +26,6 @@ from .errors import (
 from .metrics import SampleCloud, empirical_w2
 from .oracle import run_kernel_validation
 from .sampler import run_chain
-from .targets import InitSpec
-from .tuner import plan_scaled, plan_unscaled, unscaled_config
 
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
@@ -53,14 +51,10 @@ def _load_config(args) -> experiment.ExperimentConfig:
     return config
 
 
-def _scaled_setup(target, seed):
-    return experiment._tune_scaled(target, seed)
-
-
 def _cmd_tune(args) -> int:
     config = _load_config(args)
     target = experiment.build_target(config.target)
-    scaled = _scaled_setup(target, config.seed)
+    scaled = experiment.tune_scaled(target, config.seed)
     spectrum = np.linalg.eigvalsh(scaled.A.mat)
     print(f"target     = {target.name}")
     print(f"theta      = {scaled.theta:.9g}")
@@ -78,16 +72,10 @@ def _cmd_tune(args) -> int:
 
 def _cmd_plan(args) -> int:
     config = _load_config(args)
-    target = experiment.build_target(config.target)
-    init = InitSpec.from_point(
-        target,
-        np.array(config.x0) if config.x0 is not None else None,
-        config.dist_bound,
-    )
-    scaled = _scaled_setup(target, config.seed)
+    setup = experiment.prepare_run(config, experiment.METHODS)
     for eps in config.epsilons:
-        plan_s = plan_scaled(eps, scaled, target.dim, target.m, init.dist_bound)
-        plan_u = plan_unscaled(eps, target.kappa, target.dim, target.m, init.dist_bound)
+        plan_s = setup.plan("scaled", eps)
+        plan_u = setup.plan("unscaled", eps)
         print(
             f"epsilon={eps:g} scaled:   delta={plan_s.delta:.9g} n={plan_s.n_steps}"
             f" applicable={plan_s.applicable}"
@@ -104,23 +92,13 @@ def _cmd_sample(args) -> int:
     method = args.method or config.methods[0]
     if method not in experiment.METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    target = experiment.build_target(config.target)
-    init = InitSpec.from_point(
-        target,
-        np.array(config.x0) if config.x0 is not None else None,
-        config.dist_bound,
-    )
-    chain_config = (
-        _scaled_setup(target, config.seed) if method == "scaled" else unscaled_config(target)
-    )
-    epsilon = config.epsilons[0]
+    setup = experiment.prepare_run(config, (method,))
+    target, init = setup.target, setup.init
+    chain_config = setup.chain_config(method)
     if config.delta_override is not None:
         delta, n_steps = config.delta_override, config.n_override
     else:
-        if method == "scaled":
-            plan = plan_scaled(epsilon, chain_config, target.dim, target.m, init.dist_bound)
-        else:
-            plan = plan_unscaled(epsilon, target.kappa, target.dim, target.m, init.dist_bound)
+        plan = setup.plan(method, config.epsilons[0])
         delta, n_steps = plan.delta, plan.n_steps
 
     cell_index = config.methods.index(method) * len(config.epsilons)
@@ -163,9 +141,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load_config(args)
-    rows = experiment.run_experiment(
-        config, threads=args.threads, record_timing=args.timing
-    )
+    rows = experiment.run_experiment(config, record_timing=args.timing)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "results.csv"
@@ -225,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--trace-every", type=int, default=None)
 
     p_compare = with_config(sub.add_parser("compare", help="full experiment matrix to CSV"))
-    p_compare.add_argument("--threads", type=int, default=1)
     p_compare.add_argument(
         "--timing", action="store_true", help="record wall time (breaks byte-stability)"
     )

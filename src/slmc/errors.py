@@ -14,7 +14,7 @@ class SingularMatrix(SamplingError):
 
 
 class NotPositiveDefinite(SamplingError):
-    """Cholesky factorization failed even after jitter escalation."""
+    """A covariance that must be factored is not positive definite."""
 
 
 class MinimizerNotFound(SamplingError):

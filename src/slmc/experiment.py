@@ -10,7 +10,6 @@ oscillation probes use :data:`PROBE_SALT`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -294,56 +293,73 @@ def _even_subsample(points: np.ndarray, cap: int) -> np.ndarray:
     return points[idx]
 
 
-def _tune_scaled(target: TargetModel, base_seed: int) -> ScalingConfig:
+def tune_scaled(target: TargetModel, base_seed: int) -> ScalingConfig:
+    """The scaling recipe for ``target``, with theta searched over the default
+    probes of the generator seeded from ``base_seed`` and :data:`PROBE_SALT`."""
     probe_rng = np.random.default_rng(splitmix64(base_seed ^ PROBE_SALT))
     candidates, probes = default_theta_probes(target, probe_rng)
     return scaled_params(target, estimate_theta(target, candidates, probes))
 
 
-def _plan_cell(
-    method: str,
-    epsilon: float,
-    target: TargetModel,
-    init: InitSpec,
-    scaled: ScalingConfig | None,
-) -> PlanOutput:
-    if method == "scaled":
-        return plan_scaled(epsilon, scaled, target.dim, target.m, init.dist_bound)
-    return plan_unscaled(epsilon, target.kappa, target.dim, target.m, init.dist_bound)
+@dataclass(frozen=True, eq=False)
+class RunSetup:
+    """Target, start point and scaled recipe shared by every cell of a config.
 
-
-def run_experiment(
-    config: ExperimentConfig, threads: int = 1, record_timing: bool = False
-) -> list[ResultRow]:
-    """Run every (method, epsilon) cell and collect result rows.
-
-    Deterministic given the config seed. ``wall_ms`` stays zero unless
-    ``record_timing`` is set, keeping the default output byte-stable
-    across reruns and thread counts.
+    ``scaled`` is None when the setup was prepared without the scaled method.
     """
+
+    target: TargetModel
+    init: InitSpec
+    scaled: ScalingConfig | None
+
+    def chain_config(self, method: str) -> ScalingConfig:
+        return self.scaled if method == "scaled" else unscaled_config(self.target)
+
+    def plan(self, method: str, epsilon: float) -> PlanOutput:
+        target, bound = self.target, self.init.dist_bound
+        if method == "scaled":
+            return plan_scaled(epsilon, self.scaled, target.dim, target.m, bound)
+        return plan_unscaled(epsilon, target.kappa, target.dim, target.m, bound)
+
+
+def prepare_run(config: ExperimentConfig, methods: tuple[str, ...] | None = None) -> RunSetup:
+    """Build the target and start point of ``config``, tuning the scaled
+    recipe only when ``methods`` (default: the config's) includes it."""
     target = build_target(config.target)
     init = InitSpec.from_point(
         target,
         np.array(config.x0) if config.x0 is not None else None,
         config.dist_bound,
     )
-    scaled = _tune_scaled(target, config.seed) if "scaled" in config.methods else None
+    methods = config.methods if methods is None else methods
+    scaled = tune_scaled(target, config.seed) if "scaled" in methods else None
+    return RunSetup(target=target, init=init, scaled=scaled)
+
+
+def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> list[ResultRow]:
+    """Run every (method, epsilon) cell and collect result rows.
+
+    Deterministic given the config seed. ``wall_ms`` stays zero unless
+    ``record_timing`` is set, keeping the default output byte-stable
+    across reruns.
+    """
+    setup = prepare_run(config)
+    target, init = setup.target, setup.init
 
     rows = []
     cells = list(product(config.methods, config.epsilons))
     for cell_index, (method, epsilon) in enumerate(cells):
         start = time.monotonic()
-        chain_config = scaled if method == "scaled" else unscaled_config(target)
+        chain_config = setup.chain_config(method)
         warnings: list[str] = []
         if config.delta_override is not None:
             delta, n_steps = config.delta_override, config.n_override
             try:
-                plan = _plan_cell(method, epsilon, target, init, scaled)
-                warnings.extend(plan.warnings)
+                warnings.extend(setup.plan(method, epsilon).warnings)
             except TheoremInapplicable as exc:
                 warnings.append(str(exc))
         else:
-            plan = _plan_cell(method, epsilon, target, init, scaled)
+            plan = setup.plan(method, epsilon)
             delta, n_steps = plan.delta, plan.n_steps
             warnings.extend(plan.warnings)
 
@@ -352,24 +368,19 @@ def run_experiment(
         burn_in = config.burn_in if config.burn_in is not None else n_steps // 2
         burn_in = min(burn_in, n_steps - 1)
 
-        def one_chain(chain_index: int):
-            rng = np.random.default_rng(chain_seed(config.seed, cell_index, chain_index))
-            return run_chain(
+        runs = [
+            run_chain(
                 init,
                 target,
                 chain_config,
                 delta,
                 n_steps,
-                rng,
+                np.random.default_rng(chain_seed(config.seed, cell_index, chain_index)),
                 thin=config.thin,
                 burn_in=burn_in,
             )
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                runs = list(pool.map(one_chain, range(config.chains)))
-        else:
-            runs = [one_chain(c) for c in range(config.chains)]
+            for chain_index in range(config.chains)
+        ]
 
         pooled_x = np.vstack([run.xs for run in runs])
         pooled_v = np.vstack([run.vs for run in runs])

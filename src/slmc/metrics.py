@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInput
-from .spd import SymMatrix, spd_sqrt, sym_eig
+from .spd import SymMatrix, spd_sqrt
 
 MAX_CLOUD = 4096
 _PSD_TOL = 1e-10
@@ -34,8 +34,8 @@ class GaussianSummary:
         mean = np.asarray(self.mean, dtype=float)
         if mean.shape != (self.cov.dim,):
             raise InvalidInput("mean dimension does not match covariance")
-        lo = float(sym_eig(self.cov).values[0])
-        hi = float(sym_eig(self.cov).values[-1])
+        eigs = np.linalg.eigvalsh(self.cov.mat)
+        lo, hi = float(eigs[0]), float(eigs[-1])
         if lo < -_PSD_TOL * max(1.0, abs(hi)):
             raise InvalidInput(f"covariance is indefinite (lambda_min = {lo:.3e})")
         object.__setattr__(self, "mean", mean)

@@ -4,22 +4,23 @@ One step of size delta integrates
 
     dv = -gamma A v dt - u g dt + sqrt(2 gamma u A) dB,   dx = v dt
 
-exactly, with the gradient g frozen at the step's start. Because the
-drift is then linear with matrix coefficients that are all functions of
-the single SPD matrix A, the transition is Gaussian with closed-form
-mean and covariance, assembled here per eigenvalue of A:
+exactly, with the gradient g frozen at the step's start. Every drift and
+covariance block is a function of the single SPD matrix A = V diag(a) V^T,
+so in eigen-coordinates y = V^T x, w = V^T v, h = V^T g the step splits
+into one independent (position, velocity) pair per eigenvalue a. With
+s = gamma a d (writing d for delta) each pair moves as
 
-    mean_v  = e^{-gamma A d} v - (u/gamma) A^{-1} (I - e^{-gamma A d}) g
-    mean_x  = x + (gamma A)^{-1} (I - e^{-gamma A d}) v
-              - (u/gamma) A^{-1} [d I - (gamma A)^{-1} (I - e^{-gamma A d})] g
-    cov_vv  = u (I - e^{-2 gamma A d})
-    cov_xv  = (u/gamma) A^{-1} (I - e^{-gamma A d})^2
-    cov_xx  = (2u/gamma) A^{-1} [d I - (2 gamma A)^{-1} e^{-2 gamma A d}
-              + (2/gamma) A^{-1} e^{-gamma A d} - (3/2)(gamma A)^{-1}]
+    mean_w  = e^{-s} w - u (1 - e^{-s}) / (gamma a) h
+    mean_y  = y + (1 - e^{-s}) / (gamma a) w - u (s - (1 - e^{-s})) / (gamma a)^2 h
+    cov_ww  = u (1 - e^{-2s})
+    cov_yw  = u (1 - e^{-s})^2 / (gamma a)
+    cov_yy  = 2u (s - 2 (1 - e^{-s}) + (1 - e^{-2s})/2) / (gamma a)^2
 
-(writing d for delta). All blocks commute, the covariance does not
-depend on the state, and the position/velocity pair must be drawn
-jointly since the cross block is structurally nonzero.
+The covariance does not depend on the state, and the cross term is
+structurally nonzero, so each pair is drawn jointly through its closed-form
+lower 2x2 Cholesky factor. A step therefore costs two products with V
+(into and out of the eigenbasis) plus length-d arithmetic; for A = I,
+V is the identity and every operation is diagonal.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalBlowup
-from .spd import SymMatrix, cholesky_psd, sym_eig
+from .errors import InvalidInput, NotPositiveDefinite, NumericalBlowup
+from .spd import SymMatrix, sym_eig
 from .targets import InitSpec, TargetModel
 from .tuner import ScalingConfig
 
@@ -87,122 +88,129 @@ def _cov_xx_shape(s: np.ndarray) -> np.ndarray:
     return np.where(s < 1e-3, series, direct)
 
 
-class _KernelCoeffs:
-    """State-independent matrices of one step, shared by moments and cache."""
+def _modes(config: ScalingConfig, delta: float):
+    """Eigenvectors V of A and the per-eigenvalue closed forms of one step.
 
-    def __init__(self, config: ScalingConfig, delta: float):
-        if not (delta > 0.0 and np.isfinite(delta)):
-            raise InvalidInput("step size delta must be positive")
-        pair = sym_eig(config.A)
-        alpha = pair.values
-        if alpha[0] <= 0.0:
-            raise InvalidInput("scaling matrix A must be SPD")
-        vec = pair.vectors
-        gamma, u = config.gamma, config.u
-        s = gamma * alpha * delta
-        decay = np.exp(-s)
-        decay2 = np.exp(-2.0 * s)
-        one_minus = -np.expm1(-s)  # 1 - e^{-s}, accurate for small s
-
-        def assemble(coef: np.ndarray) -> np.ndarray:
-            out = (vec * coef) @ vec.T
-            return 0.5 * (out + out.T)
-
-        ga = gamma * alpha
-        self.dim = alpha.size
-        self.delta = delta
-        self.gamma = gamma
-        self.u = u
-        self.eigenvalues = alpha
-        self.vectors = vec
-        self.exp_gA = SymMatrix(assemble(decay))
-        self.exp_2gA = SymMatrix(assemble(decay2))
-        self.A_inv = SymMatrix(assemble(1.0 / alpha))
-        self.gA_inv = SymMatrix(assemble(1.0 / ga))
-        self.mx_v = assemble(one_minus / ga)
-        self.mx_g = assemble(u * (s + np.expm1(-s)) / ga**2)
-        self.mv_v = self.exp_gA.mat
-        self.mv_g = assemble(u * one_minus / ga)
-        self.cov_vv = SymMatrix(assemble(-u * np.expm1(-2.0 * s)))
-        self.cov_xv = assemble((u / ga) * np.expm1(-s) ** 2)
-        self.cov_xx = SymMatrix(assemble(2.0 * u * _cov_xx_shape(s) / ga**2))
-
-    def joint_cov(self) -> SymMatrix:
-        top = np.hstack([self.cov_xx.mat, self.cov_xv])
-        bottom = np.hstack([self.cov_xv.T, self.cov_vv.mat])
-        return SymMatrix(np.vstack([top, bottom]))
-
-    def means(self, x: np.ndarray, v: np.ndarray, g: np.ndarray):
-        mean_x = x + self.mx_v @ v - self.mx_g @ g
-        mean_v = self.mv_v @ v - self.mv_g @ g
-        return mean_x, mean_v
+    Returns ``(V, mean_w, mean_g, cov)``: ``mean_w`` and ``mean_g`` are
+    (2, d) rows (y, w) weighting w and h in the step mean, ``cov`` holds
+    the (3, d) rows cov_yy, cov_yw, cov_ww.
+    """
+    if not (delta > 0.0 and np.isfinite(delta)):
+        raise InvalidInput("step size delta must be positive")
+    pair = sym_eig(config.A)
+    alpha = pair.values
+    if alpha[0] <= 0.0:
+        raise InvalidInput("scaling matrix A must be SPD")
+    u = config.u
+    ga = config.gamma * alpha
+    s = ga * delta
+    one_minus = -np.expm1(-s)  # 1 - e^{-s}, accurate for small s
+    mean_w = np.stack([one_minus / ga, np.exp(-s)])
+    mean_g = np.stack([u * (s + np.expm1(-s)) / ga**2, u * one_minus / ga])
+    cov = np.stack(
+        [
+            2.0 * u * _cov_xx_shape(s) / ga**2,
+            (u / ga) * np.expm1(-s) ** 2,
+            -u * np.expm1(-2.0 * s),
+        ]
+    )
+    return pair.vectors, mean_w, mean_g, cov
 
 
 @dataclass(frozen=True, eq=False)
 class StepCache:
-    """Everything precomputable for fixed (A, gamma, u, delta).
+    """One step of fixed (A, gamma, u, delta), stored per eigenvalue of A.
 
-    The joint covariance is state-independent, so its Cholesky factor is
-    computed once here and reused by every step.
+    ``vectors`` holds the eigenvectors V of A as columns. Every other
+    array is per mode, indexed by eigenvalue along its last axis:
+    ``mean_w`` and ``mean_g`` are the (2, d) rows (y, w) by which the
+    step mean weights the velocity w = V^T v and the gradient h = V^T g,
+    and ``factor[i, j]`` is entry (i, j) of each mode's lower 2x2
+    Cholesky factor of the state-independent (y, w) covariance:
+    l_yy = sqrt(cov_yy), l_wy = cov_yw / l_yy, l_ww = sqrt(cov_ww - l_wy^2).
     """
 
     config: ScalingConfig
     delta: float
     dim: int
-    exp_gA: SymMatrix
-    exp_2gA: SymMatrix
-    A_inv: SymMatrix
-    gA_inv: SymMatrix
-    coeffs: _KernelCoeffs
-    joint_cov: SymMatrix
-    chol: np.ndarray
+    vectors: np.ndarray
+    mean_w: np.ndarray
+    mean_g: np.ndarray
+    factor: np.ndarray
+
+
+def _mean(vectors, mean_w, mean_g, ns: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Step mean of the eigen-coordinate rows ``ns`` = (y; w) under gradient g."""
+    out = mean_w * ns[1]
+    out[0] += ns[0]
+    out -= mean_g * (g @ vectors)
+    return out
 
 
 def kernel_moments(
     state: ChainState, grad: np.ndarray, config: ScalingConfig, delta: float
 ) -> KernelMoments:
     """Exact first and second moments of one frozen-gradient step."""
-    coeffs = _KernelCoeffs(config, delta)
+    vectors, mean_w, mean_g, cov = _modes(config, delta)
+    d = vectors.shape[0]
     g = np.asarray(grad, dtype=float)
-    if g.shape != (coeffs.dim,) or state.dim != coeffs.dim:
+    if g.shape != (d,) or state.dim != d:
         raise InvalidInput("state/gradient dimension does not match A")
-    mean_x, mean_v = coeffs.means(state.x, state.v, g)
+    ns = np.stack([state.x, state.v]) @ vectors
+    mean = _mean(vectors, mean_w, mean_g, ns, g) @ vectors.T
+
+    def assemble(coef: np.ndarray) -> np.ndarray:
+        out = (vectors * coef) @ vectors.T
+        return 0.5 * (out + out.T)
+
     return KernelMoments(
-        mean_x=mean_x,
-        mean_v=mean_v,
-        cov_xx=coeffs.cov_xx,
-        cov_vv=coeffs.cov_vv,
-        cov_xv=coeffs.cov_xv,
+        mean_x=mean[0],
+        mean_v=mean[1],
+        cov_xx=SymMatrix(assemble(cov[0])),
+        cov_vv=SymMatrix(assemble(cov[2])),
+        cov_xv=assemble(cov[1]),
     )
 
 
 def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
-    """Precompute matrix functions and the joint covariance factor for a step size."""
-    coeffs = _KernelCoeffs(config, delta)
-    joint = coeffs.joint_cov()
+    """Eigenvectors of A plus per-mode mean coefficients and noise factors.
+
+    Raises ``NotPositiveDefinite`` when some mode's 2x2 covariance does
+    not factor in floating point, e.g. when delta is so small that
+    cov_yy underflows; no jitter is added.
+    """
+    vectors, mean_w, mean_g, (c_yy, c_yw, c_ww) = _modes(config, delta)
+    with np.errstate(all="ignore"):
+        l_yy = np.sqrt(c_yy)
+        l_wy = c_yw / l_yy
+        schur = c_ww - l_wy**2
+        factor = np.stack([[l_yy, np.zeros_like(l_yy)], [l_wy, np.sqrt(schur)]])
+    if not (np.all(c_yy > 0.0) and np.all(schur > 0.0) and np.all(np.isfinite(factor))):
+        raise NotPositiveDefinite(
+            f"step covariance is not positive definite at delta = {delta:.3e}"
+        )
     return StepCache(
         config=config,
         delta=delta,
-        dim=coeffs.dim,
-        exp_gA=coeffs.exp_gA,
-        exp_2gA=coeffs.exp_2gA,
-        A_inv=coeffs.A_inv,
-        gA_inv=coeffs.gA_inv,
-        coeffs=coeffs,
-        joint_cov=joint,
-        chol=cholesky_psd(joint),
+        dim=vectors.shape[0],
+        vectors=vectors,
+        mean_w=mean_w,
+        mean_g=mean_g,
+        factor=factor,
     )
 
 
-def _advance(cache: StepCache, x, v, g, z):
-    d = cache.dim
-    noise = cache.chol @ z
-    mean_x, mean_v = cache.coeffs.means(x, v, g)
-    new_x = mean_x + noise[:d]
-    new_v = mean_v + noise[d:]
-    if not (np.all(np.abs(new_x) < BLOWUP_GUARD) and np.all(np.abs(new_v) < BLOWUP_GUARD)):
+def _advance(cache: StepCache, ns: np.ndarray, g: np.ndarray, z: np.ndarray):
+    """One step from eigen-coordinate rows ``ns`` = (y; w) with (2, d) noise z.
+
+    Returns the new (y; w) rows and the matching (x; v) rows.
+    """
+    out = _mean(cache.vectors, cache.mean_w, cache.mean_g, ns, g)
+    out += (cache.factor * z).sum(axis=1)
+    xv = out @ cache.vectors.T
+    if not (np.abs(xv) < BLOWUP_GUARD).all():
         raise NumericalBlowup("chain coordinate left the guarded region")
-    return new_x, new_v
+    return out, xv
 
 
 def step(
@@ -214,9 +222,9 @@ def step(
     g = target.grad_oracle(state.x)
     if not np.all(np.isfinite(g)):
         raise NumericalBlowup("gradient oracle returned non-finite values")
-    z = rng.standard_normal(2 * cache.dim)
-    new_x, new_v = _advance(cache, state.x, state.v, g, z)
-    return ChainState(x=new_x, v=new_v)
+    ns = np.stack([state.x, state.v]) @ cache.vectors
+    _, xv = _advance(cache, ns, g, rng.standard_normal((2, cache.dim)))
+    return ChainState(x=xv[0], v=xv[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +266,12 @@ def run_chain(
         raise InvalidInput("scaling matrix dimension does not match the target")
 
     d = target.dim
-    x = init.x0.copy()
     if stationary_velocity_init:
         v = math.sqrt(config.u) * rng.standard_normal(d)
     else:
         v = np.zeros(d)
+    xv = np.stack([init.x0, v])
+    ns = xv @ cache.vectors
 
     kept = max(0, (n_steps - burn_in) // thin)
     xs = np.empty((kept, d))
@@ -270,21 +279,21 @@ def run_chain(
     steps = np.empty(kept, dtype=np.int64)
     out = 0
     for i in range(1, n_steps + 1):
-        g = target.grad_oracle(x)
+        g = target.grad_oracle(xv[0])
         if not np.all(np.isfinite(g)):
             raise NumericalBlowup("gradient oracle returned non-finite values", i)
-        z = rng.standard_normal(2 * d)
+        z = rng.standard_normal((2, d))
         try:
-            x, v = _advance(cache, x, v, g, z)
+            ns, xv = _advance(cache, ns, g, z)
         except NumericalBlowup as exc:
             raise NumericalBlowup("chain coordinate left the guarded region", i) from exc
         if i > burn_in and (i - burn_in) % thin == 0:
-            xs[out] = x
-            vs[out] = v
+            xs[out] = xv[0]
+            vs[out] = xv[1]
             steps[out] = i
             out += 1
     return ChainRun(
-        xs=xs, vs=vs, steps=steps, grad_calls=n_steps, final=ChainState(x=x, v=v)
+        xs=xs, vs=vs, steps=steps, grad_calls=n_steps, final=ChainState(x=xv[0], v=xv[1])
     )
 
 
@@ -309,23 +318,24 @@ def coupled_pair_run(
         raise InvalidInput("n_steps must be at least 1")
     cache = make_step_cache(config, delta)
     d = target.dim
-    xa, va = init_a.x0.copy(), np.zeros(d)
-    xb, vb = init_b.x0.copy(), np.zeros(d)
+    xv_a = np.stack([init_a.x0, np.zeros(d)])
+    xv_b = np.stack([init_b.x0, np.zeros(d)])
+    ns_a, ns_b = xv_a @ cache.vectors, xv_b @ cache.vectors
 
-    def rho(xa, va, xb, vb) -> float:
-        dx = xa - xb
-        dq = (xa + va) - (xb + vb)
+    def rho(xv_a, xv_b) -> float:
+        dx = xv_a[0] - xv_b[0]
+        dq = (xv_a[0] + xv_a[1]) - (xv_b[0] + xv_b[1])
         return float(dx @ dx + dq @ dq)
 
     out = np.empty(n_steps + 1)
-    out[0] = rho(xa, va, xb, vb)
+    out[0] = rho(xv_a, xv_b)
     for i in range(1, n_steps + 1):
-        ga = target.grad_oracle(xa)
-        gb = target.grad_oracle(xb)
+        ga = target.grad_oracle(xv_a[0])
+        gb = target.grad_oracle(xv_b[0])
         if not (np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))):
             raise NumericalBlowup("gradient oracle returned non-finite values", i)
-        z = rng.standard_normal(2 * d)
-        xa, va = _advance(cache, xa, va, ga, z)
-        xb, vb = _advance(cache, xb, vb, gb, z)
-        out[i] = rho(xa, va, xb, vb)
+        z = rng.standard_normal((2, d))
+        ns_a, xv_a = _advance(cache, ns_a, ga, z)
+        ns_b, xv_b = _advance(cache, ns_b, gb, z)
+        out[i] = rho(xv_a, xv_b)
     return out

@@ -88,21 +88,18 @@ def spd_apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> SymMat
     """Apply a scalar function to a symmetric matrix through its spectrum.
 
     ``fn`` receives the ascending eigenvalue vector and must return the
-    transformed eigenvalues (plain scalar functions work too; they are
-    broadcast). The result is ``V diag(fn(w)) V^T``, re-symmetrized.
+    transformed eigenvalues as a vector of the same shape, else
+    ``InvalidInput`` is raised. The result is ``V diag(fn(w)) V^T``,
+    re-symmetrized.
 
     Raises ``SingularMatrix`` when ``fn`` produces a non-finite value on
     any eigenvalue, e.g. inverting a singular matrix.
     """
     pair = sym_eig(m)
-    try:
-        with np.errstate(all="ignore"):
-            w = np.asarray(fn(pair.values), dtype=float)
-        if w.shape != pair.values.shape:
-            raise TypeError("not vectorized")
-    except (TypeError, ValueError):
-        with np.errstate(all="ignore"):
-            w = np.array([float(fn(v)) for v in pair.values])
+    with np.errstate(all="ignore"):
+        w = np.asarray(fn(pair.values), dtype=float)
+    if w.shape != pair.values.shape:
+        raise InvalidInput(f"fn returned shape {w.shape} for {pair.values.shape} eigenvalues")
     if not np.all(np.isfinite(w)):
         raise SingularMatrix("matrix function undefined on part of the spectrum")
     result = (pair.vectors * w) @ pair.vectors.T

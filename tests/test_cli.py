@@ -18,6 +18,13 @@ n_steps = 500
 burn_in = 100
 """
 
+#: ``results.csv`` of ``compare`` on CONFIG at the default seed.
+PINNED_RESULTS = (
+    b"target,method,kappa,kappa_hat,theta,epsilon,delta,n,grad_calls,w2_gauss,w2_empirical,vel_ratio,wall_ms\n"
+    b"gaussian-d2,scaled,4,4,0,0.5,0.05,500,1000,0.230760423,0.330170077,1.06016266,0\n"
+    b"gaussian-d2,unscaled,4,4,0,0.5,0.05,500,1000,0.128386937,0.315967018,1.00800684,0\n"
+)
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -103,17 +110,18 @@ class TestCompare:
         lines = (out_dir / "results.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 methods x 1 epsilon
 
-    def test_byte_identical_reruns_across_threads(self, config_path, tmp_path):
+    def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert main(["compare", "--config", str(config_path), "--out", str(out_a)]) == 0
-        assert (
-            main(
-                ["compare", "--config", str(config_path), "--out", str(out_b), "--threads", "4"]
-            )
-            == 0
-        )
+        assert main(["compare", "--config", str(config_path), "--out", str(out_b)]) == 0
         assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
+
+    def test_results_bytes_pinned(self, config_path, tmp_path):
+        # Byte-stability across refactors: a change here is a change of output.
+        out_dir = tmp_path / "out"
+        assert main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        assert (out_dir / "results.csv").read_bytes() == PINNED_RESULTS
 
 
 class TestValidateKernel:

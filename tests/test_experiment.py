@@ -80,11 +80,6 @@ class TestRunExperiment:
         rows_b = run_experiment(small_config())
         assert rows_a == rows_b
 
-    def test_threads_do_not_change_results(self):
-        rows_a = run_experiment(small_config(chains=4), threads=1)
-        rows_b = run_experiment(small_config(chains=4), threads=4)
-        assert rows_a == rows_b
-
     def test_velocity_ratio_near_one(self):
         config = small_config(n_override=20000, delta_override=0.05, burn_in=2000)
         row = run_experiment(config)[0]

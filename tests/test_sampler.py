@@ -10,6 +10,7 @@ from slmc import (
     ChainState,
     InitSpec,
     InvalidInput,
+    NotPositiveDefinite,
     NumericalBlowup,
     SymMatrix,
     TargetModel,
@@ -19,7 +20,6 @@ from slmc import (
     make_step_cache,
     run_chain,
     scaled_params,
-    spd_exp,
     step,
     unscaled_config,
     estimate_theta,
@@ -130,24 +130,25 @@ class TestKernelMoments:
         a = random_spd(rng, 3, lo=0.8, hi=8.0)
         config = make_config(a, u=1.4, gamma=1.1)
         delta = 0.3
-        c1 = make_step_cache(config, delta)
-        c2 = make_step_cache(config, 2.0 * delta)
         d = 3
         zeros = np.zeros(d)
-        # mean map of one step as a 2d x 2d matrix
-        joint = np.zeros((2 * d, 2 * d))
-        joint[:d, :d] = np.eye(d)
-        joint[:d, d:] = c1.coeffs.mx_v
-        joint[d:, d:] = c1.coeffs.mv_v
-        sigma1 = c1.joint_cov.mat
+
+        def moments(x, v, dt):
+            return kernel_moments(ChainState(x=x, v=v), zeros, config, dt)
+
+        # mean map of one step as a 2d x 2d matrix, one unit state per column
+        unit = np.eye(2 * d)
+        joint = np.column_stack([moments(e[:d], e[d:], delta).joint_mean() for e in unit])
+        sigma1 = moments(zeros, zeros, delta).joint_cov().mat
         sigma_two_steps = joint @ sigma1 @ joint.T + sigma1
-        assert np.allclose(sigma_two_steps, c2.joint_cov.mat, atol=1e-10)
+        sigma2 = moments(zeros, zeros, 2.0 * delta).joint_cov().mat
+        assert np.allclose(sigma_two_steps, sigma2, atol=1e-10)
         # means compose as well
         state = ChainState(x=rng.standard_normal(3), v=rng.standard_normal(3))
-        m1x, m1v = c1.coeffs.means(state.x, state.v, zeros)
-        m2x, m2v = c1.coeffs.means(m1x, m1v, zeros)
-        ex, ev = c2.coeffs.means(state.x, state.v, zeros)
-        assert np.allclose(np.concatenate([m2x, m2v]), np.concatenate([ex, ev]), atol=1e-12)
+        m1 = moments(state.x, state.v, delta)
+        m2 = moments(m1.mean_x, m1.mean_v, delta)
+        expected = moments(state.x, state.v, 2.0 * delta).joint_mean()
+        assert np.allclose(m2.joint_mean(), expected, atol=1e-12)
 
     def test_nonpositive_delta_rejected(self):
         config = make_config(SymMatrix(np.eye(2)))
@@ -163,24 +164,41 @@ class TestStepCache:
 
     def test_diagonal_exponential(self):
         cache = make_step_cache(make_config(SymMatrix(2.0 * np.eye(2))), 0.5)
-        assert np.allclose(cache.exp_gA.mat, math.exp(-1.0) * np.eye(2), rtol=1e-12)
-
-    def test_consistent_with_spd_reconstructions(self):
-        rng = np.random.default_rng(23)
-        a = random_spd(rng, 3, lo=0.5, hi=12.0)
-        config = make_config(a, u=1.2, gamma=0.9)
-        cache = make_step_cache(config, 0.2)
-        assert np.allclose(cache.exp_gA.mat, spd_exp(a, -0.9 * 0.2).mat, atol=1e-9)
-        assert np.allclose(cache.exp_2gA.mat, spd_exp(a, -2.0 * 0.9 * 0.2).mat, atol=1e-9)
-        assert np.allclose(cache.A_inv.mat @ a.mat, np.eye(3), atol=1e-9)
-        assert np.allclose(cache.gA_inv.mat @ (0.9 * a.mat), np.eye(3), atol=1e-9)
+        exp_ga = (cache.vectors * cache.mean_w[1]) @ cache.vectors.T
+        assert np.allclose(exp_ga, math.exp(-1.0) * np.eye(2), rtol=1e-12)
 
     def test_joint_psd_random(self):
         rng = np.random.default_rng(29)
         a = random_spd(rng, 4, lo=2.0, hi=50.0)
-        cache = make_step_cache(make_config(a, u=2.0), 0.05)
-        eigs = np.linalg.eigvalsh(cache.joint_cov.mat)
+        config = make_config(a, u=2.0)
+        make_step_cache(config, 0.05)
+        mom = kernel_moments(ChainState(x=np.zeros(4), v=np.zeros(4)), np.zeros(4), config, 0.05)
+        eigs = np.linalg.eigvalsh(mom.joint_cov().mat)
         assert eigs[0] >= -1e-12 * eigs[-1]
+
+    def test_mode_factors_reproduce_joint_covariance(self):
+        # s = gamma * a * delta runs from 1e-6 to 1e3, across the cov_xx series switch
+        rng = np.random.default_rng(37)
+        a = random_spd(rng, 4, lo=1.0, hi=10.0)
+        config = make_config(a, u=1.7)
+        zeros = np.zeros(4)
+        for delta in np.geomspace(1e-6, 1e2, 17):
+            cache = make_step_cache(config, float(delta))
+            (l_yy, _), (l_wy, l_ww) = cache.factor
+            vec = cache.vectors
+            mom = kernel_moments(ChainState(x=zeros, v=zeros), zeros, config, float(delta))
+            for exact, per_mode in (
+                (mom.cov_xx.mat, l_yy**2),
+                (mom.cov_xv, l_yy * l_wy),
+                (mom.cov_vv.mat, l_wy**2 + l_ww**2),
+            ):
+                rebuilt = (vec * per_mode) @ vec.T
+                assert np.abs(rebuilt - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_underflowing_covariance_raises(self):
+        # cov_xx ~ delta^3 underflows to zero: no jitter, an explicit failure
+        with pytest.raises(NotPositiveDefinite):
+            make_step_cache(make_config(SymMatrix(np.eye(2))), 1e-120)
 
 
 class TestStep:
@@ -194,19 +212,18 @@ class TestStep:
         assert np.array_equal(out.x, mom.mean_x)
         assert np.array_equal(out.v, mom.mean_v)
 
-    def test_one_step_monte_carlo_moments(self):
-        target = make_gaussian(np.zeros(2), SymMatrix(np.diag([1.0, 4.0])))
-        config = scaled_params(target, estimate_theta(target, [np.zeros(2)], [np.zeros(2)]))
-        cache = make_step_cache(config, 0.3)
-        state = ChainState(x=np.array([1.0, -0.5]), v=np.array([0.0, 0.7]))
-        rng = np.random.default_rng(101)
+    @staticmethod
+    def check_one_step_moments(target, config, state, delta, seed):
+        cache = make_step_cache(config, delta)
+        rng = np.random.default_rng(seed)
         n = 100_000
-        outs = np.empty((n, 4))
+        d = target.dim
+        outs = np.empty((n, 2 * d))
         for i in range(n):
             nxt = step(state, target, cache, rng)
-            outs[i, :2] = nxt.x
-            outs[i, 2:] = nxt.v
-        mom = kernel_moments(state, target.grad_oracle(state.x), config, 0.3)
+            outs[i, :d] = nxt.x
+            outs[i, d:] = nxt.v
+        mom = kernel_moments(state, target.grad_oracle(state.x), config, delta)
         mean = mom.joint_mean()
         sigma = mom.joint_cov().mat
         z_mean = np.abs(outs.mean(axis=0) - mean) / np.sqrt(np.diag(sigma) / n)
@@ -214,6 +231,19 @@ class TestStep:
         emp_cov = np.cov(outs, rowvar=False)
         se = np.sqrt((np.outer(np.diag(sigma), np.diag(sigma)) + sigma**2) / (n - 1))
         assert (np.abs(emp_cov - sigma) / se).max() < 5.0
+
+    def test_one_step_monte_carlo_moments(self):
+        target = make_gaussian(np.zeros(2), SymMatrix(np.diag([1.0, 4.0])))
+        config = scaled_params(target, estimate_theta(target, [np.zeros(2)], [np.zeros(2)]))
+        state = ChainState(x=np.array([1.0, -0.5]), v=np.array([0.0, 0.7]))
+        self.check_one_step_moments(target, config, state, 0.3, seed=101)
+
+    def test_one_step_monte_carlo_moments_dense_a(self):
+        # only a non-diagonal A distinguishes V from V^T in the eigenbasis step
+        target = make_gaussian(np.zeros(3), SymMatrix(np.diag([1.0, 4.0, 2.0])))
+        config = make_config(random_spd(np.random.default_rng(41), 3, lo=0.5, hi=4.0), u=1.3)
+        state = ChainState(x=np.array([1.0, -0.5, 0.3]), v=np.array([0.0, 0.7, -0.2]))
+        self.check_one_step_moments(target, config, state, 0.3, seed=103)
 
     def test_exactly_one_gradient_call(self):
         target = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))

@@ -102,9 +102,9 @@ class TestApplyFn:
         with pytest.raises(SingularMatrix):
             spd_inv(SymMatrix(np.diag([1.0, 0.0])))
 
-    def test_scalar_function_fallback(self):
-        out = spd_apply_fn(SymMatrix(np.diag([4.0, 9.0])), lambda w: float(w) ** 0.5)
-        assert np.allclose(out.mat, np.diag([2.0, 3.0]))
+    def test_non_vectorized_function_rejected(self):
+        with pytest.raises(InvalidInput):
+            spd_apply_fn(SymMatrix(np.diag([4.0, 9.0])), lambda w: float(w[0]) ** 0.5)
 
     @given(seed=st.integers(0, 2**31 - 1), s=st.floats(-1.5, 1.5), t=st.floats(-1.5, 1.5))
     @settings(max_examples=25, deadline=None)

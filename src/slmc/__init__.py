@@ -26,9 +26,10 @@ from .sampler import (
     kernel_moments,
     make_step_cache,
     run_chain,
+    run_chains,
     step,
 )
-from .spd import EigenPair, SymMatrix, cholesky_psd, spd_apply_fn, spd_exp, spd_inv, spd_sqrt, sym_eig
+from .spd import SymMatrix, cholesky_psd, spd_apply_fn, spd_sqrt, sym_eig
 from .targets import (
     InitSpec,
     TargetModel,
@@ -56,7 +57,6 @@ __all__ = [
     "ChainRun",
     "ChainState",
     "ConfigError",
-    "EigenPair",
     "EulerConfig",
     "GaussianSummary",
     "InitSpec",
@@ -93,12 +93,11 @@ __all__ = [
     "plan_scaled",
     "plan_unscaled",
     "run_chain",
+    "run_chains",
     "run_kernel_validation",
     "sample_exact_positions",
     "scaled_params",
     "spd_apply_fn",
-    "spd_exp",
-    "spd_inv",
     "spd_sqrt",
     "step",
     "sym_eig",

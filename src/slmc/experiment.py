@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput, TheoremInapplicable
 from .metrics import GaussianSummary, SampleCloud, empirical_w2, gaussian_w2, moment_summary
-from .sampler import run_chain
+from .sampler import run_chain, run_chains
 from .spd import SymMatrix
 from .targets import InitSpec, TargetModel, load_logistic_csv, make_gaussian, make_logistic_ridge, sample_exact_positions
 from .tuner import (
@@ -345,6 +345,7 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
     """
     setup = prepare_run(config)
     target, init = setup.target, setup.init
+    summary = target_summary(target) if target.position_cov is not None else None
 
     rows = []
     cells = list(product(config.methods, config.epsilons))
@@ -368,28 +369,20 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
         burn_in = config.burn_in if config.burn_in is not None else n_steps // 2
         burn_in = min(burn_in, n_steps - 1)
 
-        runs = [
-            run_chain(
-                init,
-                target,
-                chain_config,
-                delta,
-                n_steps,
-                np.random.default_rng(chain_seed(config.seed, cell_index, chain_index)),
-                thin=config.thin,
-                burn_in=burn_in,
-            )
+        rngs = [
+            np.random.default_rng(chain_seed(config.seed, cell_index, chain_index))
             for chain_index in range(config.chains)
         ]
+        runs = run_chains(
+            init, target, chain_config, delta, n_steps, rngs, thin=config.thin, burn_in=burn_in
+        )
 
         pooled_x = np.vstack([run.xs for run in runs])
         pooled_v = np.vstack([run.vs for run in runs])
         vel_ratio = float((pooled_v**2).sum(axis=1).mean() / (chain_config.u * target.dim))
 
-        if target.position_cov is not None:
-            w2_gauss = gaussian_w2(
-                moment_summary(SampleCloud.from_points(pooled_x)), target_summary(target)
-            )
+        if summary is not None:
+            w2_gauss = gaussian_w2(moment_summary(SampleCloud.from_points(pooled_x)), summary)
             sub = _even_subsample(pooled_x, EMPIRICAL_W2_CAP)
             eval_rng = np.random.default_rng(
                 chain_seed(config.seed, cell_index, EVAL_CHAIN_SLOT)

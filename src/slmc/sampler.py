@@ -21,6 +21,15 @@ structurally nonzero, so each pair is drawn jointly through its closed-form
 lower 2x2 Cholesky factor. A step therefore costs two products with V
 (into and out of the eigenbasis) plus length-d arithmetic; for A = I,
 V is the identity and every operation is diagonal.
+
+All chains of a run move as one batch: one step cache, one (C, 2, d)
+array of (y; w) rows, and per step one ``grad_oracle`` call on the (C, d)
+positions, one update and one guard check. ``step``, ``run_chain`` and
+``coupled_pair_run`` are batches of one, one and two chains. Chain c
+draws its noise from its own generator in blocks of K steps; a (K, 2, d)
+draw is the same stream as K (2, d) draws, and K keeps a block of the
+batch within NOISE_BLOCK_DOUBLES. A chain's states depend on neither C
+nor K.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from .tuner import ScalingConfig
 
 #: Coordinates beyond this magnitude abort the chain instead of overflowing.
 BLOWUP_GUARD = 1e12
+#: Step noise is drawn in blocks of at most this many doubles (256 KiB) per batch.
+NOISE_BLOCK_DOUBLES = 32768
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +151,11 @@ class StepCache:
 
 
 def _mean(vectors, mean_w, mean_g, ns: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Step mean of the eigen-coordinate rows ``ns`` = (y; w) under gradient g."""
-    out = mean_w * ns[1]
-    out[0] += ns[0]
-    out -= mean_g * (g @ vectors)
+    """Step mean of the eigen-coordinate rows ``ns`` = (..., 2, d) = (y; w)
+    under gradients g of shape (..., d)."""
+    out = mean_w * ns[..., 1:, :]
+    out[..., 0, :] += ns[..., 0, :]
+    out -= mean_g * (g @ vectors)[..., None, :]
     return out
 
 
@@ -200,16 +212,42 @@ def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
     )
 
 
-def _advance(cache: StepCache, ns: np.ndarray, g: np.ndarray, z: np.ndarray):
-    """One step from eigen-coordinate rows ``ns`` = (y; w) with (2, d) noise z.
+def _checked_cache(inits, target: TargetModel, config: ScalingConfig, delta: float, n_steps: int):
+    """The step cache of (config, delta), once n_steps, each init and A are checked."""
+    if n_steps < 1:
+        raise InvalidInput("n_steps must be at least 1")
+    if any(init.x0.size != target.dim for init in inits):
+        raise InvalidInput("init dimension does not match the target")
+    cache = make_step_cache(config, delta)
+    if cache.dim != target.dim:
+        raise InvalidInput("scaling matrix dimension does not match the target")
+    return cache
 
-    Returns the new (y; w) rows and the matching (x; v) rows.
-    """
+
+def _step_noise(cache: StepCache, rngs, n_steps: int):
+    """Yield each step's correlated (y; w) noise, (len(rngs), 2, d), row c
+    drawn from ``rngs[c]`` in blocks of K steps (see the module docstring)."""
+    block = max(1, min(n_steps, NOISE_BLOCK_DOUBLES // (len(rngs) * 2 * cache.dim)))
+    raw = np.empty((len(rngs), block, 2, cache.dim))
+    for start in range(0, n_steps, block):
+        k = min(block, n_steps - start)
+        for z, rng in zip(raw, rngs):
+            rng.standard_normal(out=z[:k])
+        yield from (cache.factor * raw[:, :k, None]).sum(axis=-2).swapaxes(0, 1)
+
+
+def _advance(cache: StepCache, ns: np.ndarray, g: np.ndarray, noise: np.ndarray, step_index=None):
+    """One step of a batch from (y; w) rows ns (C, 2, d), gradients g (C, d) and
+    noise (C or 1, 2, d); returns the new (y; w) and (x; v) rows. A coordinate
+    beyond BLOWUP_GUARD, or a non-finite one (as a non-finite gradient always
+    gives), raises ``NumericalBlowup`` at ``step_index``."""
     out = _mean(cache.vectors, cache.mean_w, cache.mean_g, ns, g)
-    out += (cache.factor * z).sum(axis=1)
+    out += noise
     xv = out @ cache.vectors.T
-    if not (np.abs(xv) < BLOWUP_GUARD).all():
-        raise NumericalBlowup("chain coordinate left the guarded region")
+    if not np.abs(xv).max() < BLOWUP_GUARD:
+        if np.isfinite(g).all():
+            raise NumericalBlowup("chain coordinate left the guarded region", step_index)
+        raise NumericalBlowup("gradient oracle returned non-finite values", step_index)
     return out, xv
 
 
@@ -219,12 +257,10 @@ def step(
     """Advance one chain by one exact Gaussian step (one gradient call)."""
     if state.dim != cache.dim or target.dim != cache.dim:
         raise InvalidInput("state/target dimension does not match the cache")
-    g = target.grad_oracle(state.x)
-    if not np.all(np.isfinite(g)):
-        raise NumericalBlowup("gradient oracle returned non-finite values")
-    ns = np.stack([state.x, state.v]) @ cache.vectors
-    _, xv = _advance(cache, ns, g, rng.standard_normal((2, cache.dim)))
-    return ChainState(x=xv[0], v=xv[1])
+    xv = np.stack([state.x, state.v])[None]
+    noise = next(_step_noise(cache, (rng,), 1))
+    _, xv = _advance(cache, xv @ cache.vectors, target.grad_oracle(xv[:, 0]), noise)
+    return ChainState(x=xv[0, 0], v=xv[0, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,63 +274,56 @@ class ChainRun:
     final: ChainState
 
 
-def run_chain(
+def run_chains(
     init: InitSpec,
     target: TargetModel,
     config: ScalingConfig,
     delta: float,
     n_steps: int,
-    rng: np.random.Generator,
+    rngs,
     thin: int = 1,
     burn_in: int = 0,
     stationary_velocity_init: bool = False,
-) -> ChainRun:
-    """Run one chain from (x0, 0), retaining every thin-th state after burn-in.
+) -> list[ChainRun]:
+    """Run one chain per generator of ``rngs``, all from (x0, 0), as one batch.
 
-    Makes exactly ``n_steps`` gradient calls. Set
-    ``stationary_velocity_init`` to start from v ~ N(0, u I) instead of
-    the default zero velocity.
+    Chain c's run is that of ``run_chain`` with ``rngs[c]``: it keeps every
+    thin-th state after burn-in and makes ``n_steps`` gradient calls, and
+    ``stationary_velocity_init`` starts it from v ~ N(0, u I) instead of
+    zero. ``NumericalBlowup`` reports the first step at which any chain trips.
     """
-    if n_steps < 1:
-        raise InvalidInput("n_steps must be at least 1")
     if thin < 1 or burn_in < 0:
         raise InvalidInput("thin must be >= 1 and burn_in >= 0")
-    if init.x0.size != target.dim:
-        raise InvalidInput("init dimension does not match the target")
-    cache = make_step_cache(config, delta)
-    if cache.dim != target.dim:
-        raise InvalidInput("scaling matrix dimension does not match the target")
-
-    d = target.dim
+    if not rngs:
+        raise InvalidInput("at least one generator is required")
+    cache = _checked_cache((init,), target, config, delta, n_steps)
+    xv = np.zeros((len(rngs), 2, target.dim))
+    xv[:, 0] = init.x0
     if stationary_velocity_init:
-        v = math.sqrt(config.u) * rng.standard_normal(d)
-    else:
-        v = np.zeros(d)
-    xv = np.stack([init.x0, v])
+        for row, rng in zip(xv, rngs):
+            row[1] = math.sqrt(config.u) * rng.standard_normal(target.dim)
     ns = xv @ cache.vectors
 
     kept = max(0, (n_steps - burn_in) // thin)
-    xs = np.empty((kept, d))
-    vs = np.empty((kept, d))
-    steps = np.empty(kept, dtype=np.int64)
-    out = 0
-    for i in range(1, n_steps + 1):
-        g = target.grad_oracle(xv[0])
-        if not np.all(np.isfinite(g)):
-            raise NumericalBlowup("gradient oracle returned non-finite values", i)
-        z = rng.standard_normal((2, d))
-        try:
-            ns, xv = _advance(cache, ns, g, z)
-        except NumericalBlowup as exc:
-            raise NumericalBlowup("chain coordinate left the guarded region", i) from exc
-        if i > burn_in and (i - burn_in) % thin == 0:
-            xs[out] = xv[0]
-            vs[out] = xv[1]
-            steps[out] = i
-            out += 1
-    return ChainRun(
-        xs=xs, vs=vs, steps=steps, grad_calls=n_steps, final=ChainState(x=xv[0], v=xv[1])
-    )
+    held = np.empty((len(rngs), kept, 2, target.dim))
+    out, next_kept = 0, burn_in + thin
+    for i, noise in enumerate(_step_noise(cache, rngs, n_steps), start=1):
+        ns, xv = _advance(cache, ns, target.grad_oracle(xv[:, 0]), noise, i)
+        if i == next_kept:
+            held[:, out] = xv
+            out, next_kept = out + 1, next_kept + thin
+    steps = burn_in + thin * np.arange(1, kept + 1, dtype=np.int64)
+    return [
+        ChainRun(run[:, 0], run[:, 1], steps, n_steps, ChainState(x=last[0], v=last[1]))
+        for run, last in zip(held, xv)
+    ]
+
+
+def run_chain(init, target, config, delta, n_steps, rng, **options) -> ChainRun:
+    """Run one chain from (x0, 0): :func:`run_chains` with the single generator
+    ``rng`` and the same keyword ``options`` (thin, burn_in,
+    stationary_velocity_init). Makes exactly ``n_steps`` gradient calls."""
+    return run_chains(init, target, config, delta, n_steps, (rng,), **options)[0]
 
 
 def coupled_pair_run(
@@ -306,36 +335,25 @@ def coupled_pair_run(
     n_steps: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Synchronously coupled pair: both chains consume identical noise.
+    """Synchronously coupled pair: a batch of two chains sharing each draw of rng.
 
     Returns the squared coupling distance
     rho_i = |x_i - y_i|^2 + |(x_i + v_i) - (y_i + w_i)|^2 for i = 0..n;
     its decay rate measures the contraction of the dynamics.
     """
-    if init_a.x0.size != init_b.x0.size:
-        raise InvalidInput("coupled inits must share a dimension")
-    if n_steps < 1:
-        raise InvalidInput("n_steps must be at least 1")
-    cache = make_step_cache(config, delta)
-    d = target.dim
-    xv_a = np.stack([init_a.x0, np.zeros(d)])
-    xv_b = np.stack([init_b.x0, np.zeros(d)])
-    ns_a, ns_b = xv_a @ cache.vectors, xv_b @ cache.vectors
+    cache = _checked_cache((init_a, init_b), target, config, delta, n_steps)
+    xv = np.zeros((2, 2, target.dim))
+    xv[0, 0], xv[1, 0] = init_a.x0, init_b.x0
+    ns = xv @ cache.vectors
 
-    def rho(xv_a, xv_b) -> float:
-        dx = xv_a[0] - xv_b[0]
-        dq = (xv_a[0] + xv_a[1]) - (xv_b[0] + xv_b[1])
+    def rho(xv) -> float:
+        dx = xv[0, 0] - xv[1, 0]
+        dq = (xv[0, 0] + xv[0, 1]) - (xv[1, 0] + xv[1, 1])
         return float(dx @ dx + dq @ dq)
 
     out = np.empty(n_steps + 1)
-    out[0] = rho(xv_a, xv_b)
-    for i in range(1, n_steps + 1):
-        ga = target.grad_oracle(xv_a[0])
-        gb = target.grad_oracle(xv_b[0])
-        if not (np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))):
-            raise NumericalBlowup("gradient oracle returned non-finite values", i)
-        z = rng.standard_normal((2, d))
-        ns_a, xv_a = _advance(cache, ns_a, ga, z)
-        ns_b, xv_b = _advance(cache, ns_b, gb, z)
-        out[i] = rho(xv_a, xv_b)
+    out[0] = rho(xv)
+    for i, noise in enumerate(_step_noise(cache, (rng,), n_steps), start=1):
+        ns, xv = _advance(cache, ns, target.grad_oracle(xv[:, 0]), noise, i)
+        out[i] = rho(xv)
     return out

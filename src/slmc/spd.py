@@ -1,7 +1,7 @@
 """Dense symmetric positive (semi)definite matrix kernels.
 
 Every matrix function here goes through one full symmetric
-eigendecomposition: exponentials, inverses and square roots are all
+eigendecomposition: inverses and square roots are all
 assembled as ``V diag(fn(w)) V^T``. At the moderate dimensions this
 package targets (dense storage, d <= 4096) a single eigendecomposition
 is cheaper and more flexible than scheme-specific algorithms, and the
@@ -55,22 +55,13 @@ class SymMatrix:
         return self.mat.shape[0]
 
     @classmethod
-    def identity(cls, dim: int) -> "SymMatrix":
-        return cls(np.eye(dim))
-
-    @classmethod
     def diagonal(cls, entries) -> "SymMatrix":
         return cls(np.diag(np.asarray(entries, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
-    """Eigendecomposition of a symmetric matrix.
-
-    ``values`` are ascending, ``vectors`` holds the matching orthonormal
-    eigenvectors as columns, so ``vectors @ diag(values) @ vectors.T``
-    reconstructs the input.
-    """
+    """Ascending eigenvalues and the matching orthonormal eigenvectors (columns)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -104,16 +95,6 @@ def spd_apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> SymMat
         raise SingularMatrix("matrix function undefined on part of the spectrum")
     result = (pair.vectors * w) @ pair.vectors.T
     return SymMatrix(0.5 * (result + result.T))
-
-
-def spd_exp(m: SymMatrix, scale: float = 1.0) -> SymMatrix:
-    """Matrix exponential exp(scale * M)."""
-    return spd_apply_fn(m, lambda w: np.exp(scale * w))
-
-
-def spd_inv(m: SymMatrix) -> SymMatrix:
-    """Inverse via the spectrum; requires all eigenvalues nonzero."""
-    return spd_apply_fn(m, lambda w: 1.0 / w)
 
 
 def spd_sqrt(m: SymMatrix, clip_negative: bool = False) -> SymMatrix:

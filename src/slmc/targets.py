@@ -26,7 +26,9 @@ class TargetModel:
     """A log-concave target with oracle access and known constants.
 
     ``value_oracle``, ``grad_oracle`` and ``hess_oracle`` evaluate f,
-    grad f and the Hessian (as a SymMatrix) at a point. ``m`` and ``L``
+    grad f and the Hessian (as a SymMatrix) at a point; ``grad_oracle``
+    also maps a (C, d) batch of points to their (C, d) gradients, row by
+    row, and construction checks this on a (1, d) batch. ``m`` and ``L``
     are the strong-convexity and gradient-Lipschitz constants,
     ``minimizer`` the unique minimum of f. ``hess_constant`` marks
     targets whose Hessian does not depend on the evaluation point.
@@ -56,7 +58,13 @@ class TargetModel:
         x_star = np.asarray(self.minimizer, dtype=float)
         if x_star.shape != (self.dim,):
             raise InvalidInput("minimizer has wrong shape")
-        grad_norm = float(np.linalg.norm(self.grad_oracle(x_star)))
+        try:
+            g = np.asarray(self.grad_oracle(x_star[None]))
+        except (ValueError, TypeError, IndexError) as exc:
+            raise InvalidInput(f"grad_oracle fails on a (1, d) batch: {exc}") from exc
+        if g.shape != (1, self.dim):
+            raise InvalidInput(f"grad_oracle maps a (1, d) batch to shape {g.shape}")
+        grad_norm = float(np.linalg.norm(g))
         if grad_norm > _GRAD_AT_MIN_TOL * (1.0 + self.L):
             raise InvalidInput(
                 f"|grad f| = {grad_norm:.3e} at the claimed minimizer"
@@ -124,7 +132,7 @@ def make_gaussian(
         return 0.5 * float(r @ (p @ r))
 
     def grad(x: np.ndarray) -> np.ndarray:
-        return p @ (x - mean)
+        return (x - mean) @ p  # row-wise, as p is symmetric
 
     def hess(_: np.ndarray) -> SymMatrix:
         return precision
@@ -185,8 +193,8 @@ def make_logistic_ridge(
         return float(np.logaddexp(0.0, -z).sum() + 0.5 * ridge * (x @ x))
 
     def grad(x: np.ndarray) -> np.ndarray:
-        z = ya @ x
-        return -ya.T @ expit(-z) + ridge * x
+        z = x @ ya.T
+        return -expit(-z) @ ya + ridge * x
 
     def hess(x: np.ndarray) -> SymMatrix:
         z = ya @ x

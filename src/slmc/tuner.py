@@ -156,7 +156,7 @@ def scaled_params(target: TargetModel, theta_result: ThetaEstimate) -> ScalingCo
 def unscaled_config(target: TargetModel) -> ScalingConfig:
     """Identity-scaling baseline: A = I, gamma = 2, u = 1/L."""
     return ScalingConfig(
-        A=SymMatrix.identity(target.dim),
+        A=SymMatrix(np.eye(target.dim)),
         u=1.0 / target.L,
         gamma=2.0,
         theta=0.0,

@@ -17,13 +17,16 @@ from slmc import (
     coupled_pair_run,
     kernel_moments,
     make_gaussian,
+    make_logistic_ridge,
     make_step_cache,
     run_chain,
+    run_chains,
     scaled_params,
     step,
     unscaled_config,
     estimate_theta,
 )
+from slmc.sampler import NOISE_BLOCK_DOUBLES
 
 
 def scalar_moments(a, gamma, u, delta, x, v, g):
@@ -285,6 +288,20 @@ class TestRunChain:
         assert np.array_equal(run.xs[0], expected.x)
         assert np.array_equal(run.vs[0], expected.v)
 
+    def test_steps_across_a_noise_block_equal_step(self, setup):
+        target, config, init = setup
+        n = NOISE_BLOCK_DOUBLES // (2 * target.dim) + 3  # one full block plus three steps
+        run = run_chain(init, target, config, 0.1, n, np.random.default_rng(5))
+        cache = make_step_cache(config, 0.1)
+        rng = np.random.default_rng(5)
+        state = ChainState(x=init.x0, v=np.zeros(2))
+        xs = np.empty((n, 2))
+        for i in range(n):
+            state = step(state, target, cache, rng)
+            xs[i] = state.x
+        assert np.array_equal(run.xs, xs)
+        assert np.array_equal(run.final.v, state.v)
+
     def test_fixed_seed_bit_identical(self, setup):
         target, config, init = setup
         a = run_chain(init, target, config, 0.05, 200, np.random.default_rng(9))
@@ -354,6 +371,116 @@ class TestRunChain:
         assert not np.array_equal(run.vs, base.vs)
 
 
+class SpikeRng:
+    """A seeded generator whose normal stream holds one huge draw: the first
+    position noise of step ``spike_step`` of a d-dimensional chain."""
+
+    def __init__(self, seed, spike_step, dim):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = 0
+        self.spike_at = (spike_step - 1) * 2 * dim
+
+    def standard_normal(self, size=None, out=None):
+        out = self.rng.standard_normal(size, out=out)
+        flat = out.reshape(-1)
+        if self.drawn <= self.spike_at < self.drawn + flat.size:
+            flat[self.spike_at - self.drawn] = 1e200
+        self.drawn += flat.size
+        return out
+
+
+class TestRunChains:
+    @staticmethod
+    def check_matches_separate_chains(init, target, config, exact, **kwargs):
+        seeds = (11, 12, 13)
+        batch = run_chains(
+            init, target, config, 0.05, 257, [np.random.default_rng(s) for s in seeds], **kwargs
+        )
+        assert len(batch) == len(seeds)
+        for run, seed in zip(batch, seeds):
+            rng = np.random.default_rng(seed)
+            alone = run_chain(init, target, config, 0.05, 257, rng, **kwargs)
+            assert np.array_equal(run.steps, alone.steps)
+            assert run.grad_calls == alone.grad_calls == 257
+            for got, want in (
+                (run.xs, alone.xs),
+                (run.vs, alone.vs),
+                (run.final.x, alone.final.x),
+                (run.final.v, alone.final.v),
+            ):
+                assert got.shape == want.shape
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_diagonal_gaussian_bit_identical(self):
+        target = make_gaussian(np.array([1.0, -2.0]), SymMatrix(np.diag([1.0, 4.0])))
+        config = scaled_params(target, estimate_theta(target, [np.zeros(2)], [np.zeros(2)]))
+        init = InitSpec.from_point(target, np.array([2.0, 1.0]))
+        self.check_matches_separate_chains(init, target, config, exact=True)
+        self.check_matches_separate_chains(init, target, config, exact=True, burn_in=100, thin=7)
+        self.check_matches_separate_chains(
+            init, target, config, exact=True, stationary_velocity_init=True
+        )
+
+    def test_dense_scaled_config(self):
+        rng = np.random.default_rng(43)
+        target = make_gaussian(np.zeros(3), random_spd(rng, 3, lo=1.0, hi=20.0))
+        config = make_config(random_spd(rng, 3, lo=0.5, hi=4.0), u=1.3)
+        init = InitSpec.from_point(target, np.array([1.0, -0.5, 0.3]))
+        self.check_matches_separate_chains(init, target, config, exact=False, burn_in=50, thin=3)
+        self.check_matches_separate_chains(
+            init, target, config, exact=False, stationary_velocity_init=True
+        )
+
+    def test_logistic_target(self):
+        rng = np.random.default_rng(44)
+        features = rng.standard_normal((40, 3))
+        labels = np.where(rng.standard_normal(40) > 0, 1.0, -1.0)
+        target = make_logistic_ridge(features, labels, ridge=0.5)
+        config = make_config(random_spd(rng, 3, lo=0.2, hi=2.0), u=1.0 / target.L)
+        init = InitSpec.from_point(target)
+        self.check_matches_separate_chains(init, target, config, exact=False, burn_in=10, thin=2)
+
+    def test_one_gradient_call_per_step_for_the_batch(self):
+        target = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))
+        shapes = []
+        counted = TargetModel(
+            dim=2,
+            name="counting",
+            value_oracle=target.value_oracle,
+            grad_oracle=lambda x: (shapes.append(np.shape(x)), target.grad_oracle(x))[1],
+            hess_oracle=target.hess_oracle,
+            m=target.m,
+            L=target.L,
+            minimizer=target.minimizer,
+            hess_constant=True,
+        )
+        shapes.clear()  # discard the contract checks made on construction
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        run_chains(InitSpec.from_point(target), counted, unscaled_config(target), 0.1, 9, rngs)
+        assert shapes == [(4, 2)] * 9
+
+    def test_single_chain_blowup_step_matches_chain_alone(self):
+        target = make_gaussian(np.zeros(2), SymMatrix(np.diag([1.0, 4.0])))
+        config = unscaled_config(target)
+        init = InitSpec.from_point(target)
+        spike = NOISE_BLOCK_DOUBLES // (3 * 2 * 2) + 50  # inside the second noise block
+        with pytest.raises(NumericalBlowup) as alone:
+            run_chain(init, target, config, 0.1, 3000, SpikeRng(2, spike, 2))
+        rngs = [np.random.default_rng(1), SpikeRng(2, spike, 2), np.random.default_rng(3)]
+        with pytest.raises(NumericalBlowup) as batch:
+            run_chains(init, target, config, 0.1, 3000, rngs)
+        assert alone.value.step_index == spike
+        assert batch.value.step_index == spike
+
+    def test_no_generators_rejected(self):
+        target = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))
+        with pytest.raises(InvalidInput):
+            run_chains(InitSpec.from_point(target), target, unscaled_config(target), 0.1, 5, [])
+
+
 class TestCoupledPair:
     @pytest.fixture
     def setup(self):
@@ -390,3 +517,9 @@ class TestCoupledPair:
         rho_base = coupled_pair_run(base_a, base_b, target, config, 0.1, 1, np.random.default_rng(0))
         rho_big = coupled_pair_run(big_a, big_b, target, config, 0.1, 1, np.random.default_rng(0))
         assert rho_big[0] == pytest.approx(c * c * rho_base[0], rel=1e-9)
+
+    def test_init_dimension_mismatch_rejected(self, setup):
+        target, config = setup
+        wrong = InitSpec(x0=np.zeros(3), dist_bound=0.0)
+        with pytest.raises(InvalidInput):
+            coupled_pair_run(wrong, wrong, target, config, 0.05, 5, np.random.default_rng(0))

@@ -11,8 +11,6 @@ from slmc import (
     SymMatrix,
     cholesky_psd,
     spd_apply_fn,
-    spd_exp,
-    spd_inv,
     sym_eig,
 )
 
@@ -78,49 +76,23 @@ class TestSymEig:
 
 
 class TestApplyFn:
-    def test_exp_of_zero_matrix(self):
-        out = spd_exp(SymMatrix(np.zeros((3, 3))))
-        assert np.allclose(out.mat, np.eye(3), atol=1e-12)
-
-    def test_exp_diagonal_closed_form(self):
-        out = spd_exp(SymMatrix(np.diag([np.log(2.0), np.log(3.0)])))
-        assert np.allclose(out.mat, np.diag([2.0, 3.0]), rtol=1e-12)
-
-    def test_exp_matches_taylor_series(self):
-        rng = np.random.default_rng(11)
-        base = rng.standard_normal((3, 3))
-        m = SymMatrix(0.5 * (base + base.T))
-        # independent truncated-series evaluation
-        series = np.eye(3)
-        term = np.eye(3)
-        for k in range(1, 21):
-            term = term @ m.mat / k
-            series = series + term
-        assert np.allclose(spd_exp(m).mat, series, atol=1e-9)
-
     def test_inverse_of_singular_raises(self):
         with pytest.raises(SingularMatrix):
-            spd_inv(SymMatrix(np.diag([1.0, 0.0])))
+            spd_apply_fn(SymMatrix(np.diag([1.0, 0.0])), lambda w: 1.0 / w)
 
     def test_non_vectorized_function_rejected(self):
         with pytest.raises(InvalidInput):
             spd_apply_fn(SymMatrix(np.diag([4.0, 9.0])), lambda w: float(w[0]) ** 0.5)
 
-    @given(seed=st.integers(0, 2**31 - 1), s=st.floats(-1.5, 1.5), t=st.floats(-1.5, 1.5))
-    @settings(max_examples=25, deadline=None)
-    def test_exp_semigroup(self, seed, s, t):
-        rng = np.random.default_rng(seed)
-        m = random_spd(rng, int(rng.integers(1, 5)))
-        left = spd_exp(m, s).mat @ spd_exp(m, t).mat
-        assert np.allclose(left, spd_exp(m, s + t).mat, atol=1e-9)
-
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_inverse_roundtrip(self, seed):
+        # the spectral inverse is how make_gaussian forms the position covariance
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 6))
         m = random_spd(rng, d, lo=1e-4, hi=1e4)  # condition number <= 1e8
-        assert np.allclose(spd_inv(m).mat @ m.mat, np.eye(d), atol=1e-9)
+        inverse = spd_apply_fn(m, lambda w: 1.0 / w)
+        assert np.allclose(inverse.mat @ m.mat, np.eye(d), atol=1e-9)
 
 
 class TestCholeskyPsd:

@@ -6,6 +6,7 @@ from slmc import (
     InvalidInput,
     MinimizerNotFound,
     SymMatrix,
+    TargetModel,
     grad_check,
     load_logistic_csv,
     make_gaussian,
@@ -123,6 +124,46 @@ class TestSharedInvariants:
             x = rng.standard_normal(target.dim)
             top = sym_eig(target.hess_oracle(x)).values[-1]
             assert top <= target.L + 1e-9
+
+
+class TestBatchContract:
+    @pytest.mark.parametrize("which", ["gaussian", "logistic"])
+    def test_batch_rows_match_single_points(self, which, logistic_target):
+        if which == "gaussian":
+            rng = np.random.default_rng(21)
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            precision = SymMatrix((q * [1.0, 3.0, 9.0]) @ q.T)
+            target = make_gaussian(np.array([0.5, -1.0, 2.0]), precision)
+        else:
+            target = logistic_target
+        points = np.random.default_rng(22).standard_normal((5, target.dim))
+        batch = target.grad_oracle(points)
+        assert batch.shape == (5, target.dim)
+        rows = np.stack([target.grad_oracle(x) for x in points])
+        assert np.allclose(batch, rows, rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def model_with(grad):
+        target = make_gaussian(np.zeros(2), SymMatrix(np.diag([1.0, 4.0])))
+        return TargetModel(
+            dim=2,
+            name="row-blind",
+            value_oracle=target.value_oracle,
+            grad_oracle=grad,
+            hess_oracle=target.hess_oracle,
+            m=target.m,
+            L=target.L,
+            minimizer=target.minimizer,
+        )
+
+    def test_non_batched_oracle_rejected(self):
+        with pytest.raises(InvalidInput):
+            self.model_with(lambda x: np.array([x[0], 4.0 * x[1]]))
+
+    def test_oracle_dropping_the_batch_axis_rejected(self):
+        p = np.diag([1.0, 4.0])
+        with pytest.raises(InvalidInput):
+            self.model_with(lambda x: p @ x.reshape(-1))
 
 
 class TestInitSpec:

@@ -29,7 +29,7 @@ from .sampler import (
     run_chains,
     step,
 )
-from .spd import SymMatrix, cholesky_psd, spd_apply_fn, spd_sqrt, sym_eig
+from .spd import SymMatrix, spd_apply_fn, spd_sqrt
 from .targets import (
     InitSpec,
     TargetModel,
@@ -75,7 +75,6 @@ __all__ = [
     "TargetModel",
     "TheoremInapplicable",
     "ThetaEstimate",
-    "cholesky_psd",
     "coupled_pair_run",
     "default_theta_probes",
     "empirical_w2",
@@ -100,6 +99,5 @@ __all__ = [
     "spd_apply_fn",
     "spd_sqrt",
     "step",
-    "sym_eig",
     "unscaled_config",
 ]

@@ -55,7 +55,7 @@ def _cmd_tune(args) -> int:
     config = _load_config(args)
     target = experiment.build_target(config.target)
     scaled = experiment.tune_scaled(target, config.seed)
-    spectrum = np.linalg.eigvalsh(scaled.A.mat)
+    spectrum = scaled.A.eig.values
     print(f"target     = {target.name}")
     print(f"theta      = {scaled.theta:.9g}")
     print(f"y_hat      = {np.array2string(scaled.y_hat, precision=6)}")
@@ -95,11 +95,7 @@ def _cmd_sample(args) -> int:
     setup = experiment.prepare_run(config, (method,))
     target, init = setup.target, setup.init
     chain_config = setup.chain_config(method)
-    if config.delta_override is not None:
-        delta, n_steps = config.delta_override, config.n_override
-    else:
-        plan = setup.plan(method, config.epsilons[0])
-        delta, n_steps = plan.delta, plan.n_steps
+    delta, n_steps, burn_in, _ = setup.cell(config, method, config.epsilons[0])
 
     cell_index = config.methods.index(method) * len(config.epsilons)
     rng = np.random.default_rng(experiment.chain_seed(config.seed, cell_index, 0))
@@ -120,14 +116,7 @@ def _cmd_sample(args) -> int:
         return 0
 
     run = run_chain(
-        init,
-        target,
-        chain_config,
-        delta,
-        n_steps,
-        rng,
-        thin=config.thin,
-        burn_in=config.burn_in or 0,
+        init, target, chain_config, delta, n_steps, rng, thin=config.thin, burn_in=burn_in
     )
     if args.format == "bin":
         path = out_dir / f"samples_{method}.bin"
@@ -194,7 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     with_config(sub.add_parser("tune", help="print the scaling recipe for the target"))
     with_config(sub.add_parser("plan", help="print (delta, n) for both methods"))
 
-    p_sample = with_config(sub.add_parser("sample", help="run one chain and write samples"))
+    p_sample = with_config(
+        sub.add_parser(
+            "sample",
+            help="run one chain and write samples",
+            description="Run one chain of the first epsilon's cell and write its states. "
+            "As in compare, burn-in defaults to min(n // 2, n - 1) steps.",
+        )
+    )
     p_sample.add_argument("--format", choices=("csv", "bin"), default="csv")
     p_sample.add_argument("--method", choices=experiment.METHODS, default=None)
     p_sample.add_argument("--trace", action="store_true", help="log a W2 convergence curve")

@@ -303,17 +303,19 @@ def tune_scaled(target: TargetModel, base_seed: int) -> ScalingConfig:
 
 @dataclass(frozen=True, eq=False)
 class RunSetup:
-    """Target, start point and scaled recipe shared by every cell of a config.
+    """Target, start point and chain configs shared by every cell of a config.
 
-    ``scaled`` is None when the setup was prepared without the scaled method.
+    ``scaled`` and ``unscaled`` are None when the setup was prepared
+    without that method.
     """
 
     target: TargetModel
     init: InitSpec
     scaled: ScalingConfig | None
+    unscaled: ScalingConfig | None
 
     def chain_config(self, method: str) -> ScalingConfig:
-        return self.scaled if method == "scaled" else unscaled_config(self.target)
+        return self.scaled if method == "scaled" else self.unscaled
 
     def plan(self, method: str, epsilon: float) -> PlanOutput:
         target, bound = self.target, self.init.dist_bound
@@ -321,10 +323,34 @@ class RunSetup:
             return plan_scaled(epsilon, self.scaled, target.dim, target.m, bound)
         return plan_unscaled(epsilon, target.kappa, target.dim, target.m, bound)
 
+    def cell(
+        self, config: ExperimentConfig, method: str, epsilon: float
+    ) -> tuple[float, int, int, list[str]]:
+        """Step size, step count, burn-in and planner warnings of one cell.
+
+        The config's delta/n_steps overrides win over the plan, and then
+        a planner failure becomes a warning. Burn-in defaults to
+        ``min(n // 2, n - 1)``: planner-driven runs are only a few
+        relaxation times long, so the start-up transient is material.
+        """
+        warnings: list[str] = []
+        if config.delta_override is not None:
+            delta, n_steps = config.delta_override, config.n_override
+            try:
+                warnings.extend(self.plan(method, epsilon).warnings)
+            except TheoremInapplicable as exc:
+                warnings.append(str(exc))
+        else:
+            plan = self.plan(method, epsilon)
+            delta, n_steps = plan.delta, plan.n_steps
+            warnings.extend(plan.warnings)
+        burn_in = config.burn_in if config.burn_in is not None else n_steps // 2
+        return delta, n_steps, min(burn_in, n_steps - 1), warnings
+
 
 def prepare_run(config: ExperimentConfig, methods: tuple[str, ...] | None = None) -> RunSetup:
-    """Build the target and start point of ``config``, tuning the scaled
-    recipe only when ``methods`` (default: the config's) includes it."""
+    """Build the target and start point of ``config`` and the chain config
+    of each method in ``methods`` (default: the config's)."""
     target = build_target(config.target)
     init = InitSpec.from_point(
         target,
@@ -333,7 +359,8 @@ def prepare_run(config: ExperimentConfig, methods: tuple[str, ...] | None = None
     )
     methods = config.methods if methods is None else methods
     scaled = tune_scaled(target, config.seed) if "scaled" in methods else None
-    return RunSetup(target=target, init=init, scaled=scaled)
+    unscaled = unscaled_config(target) if "unscaled" in methods else None
+    return RunSetup(target=target, init=init, scaled=scaled, unscaled=unscaled)
 
 
 def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> list[ResultRow]:
@@ -352,22 +379,7 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
     for cell_index, (method, epsilon) in enumerate(cells):
         start = time.monotonic()
         chain_config = setup.chain_config(method)
-        warnings: list[str] = []
-        if config.delta_override is not None:
-            delta, n_steps = config.delta_override, config.n_override
-            try:
-                warnings.extend(setup.plan(method, epsilon).warnings)
-            except TheoremInapplicable as exc:
-                warnings.append(str(exc))
-        else:
-            plan = setup.plan(method, epsilon)
-            delta, n_steps = plan.delta, plan.n_steps
-            warnings.extend(plan.warnings)
-
-        # Default to discarding the first half: planner-driven runs are only a
-        # few relaxation times long, so the start-up transient is material.
-        burn_in = config.burn_in if config.burn_in is not None else n_steps // 2
-        burn_in = min(burn_in, n_steps - 1)
+        delta, n_steps, burn_in, warnings = setup.cell(config, method, epsilon)
 
         rngs = [
             np.random.default_rng(chain_seed(config.seed, cell_index, chain_index))

@@ -45,23 +45,26 @@ class GaussianSummary:
 class SampleCloud:
     """A finite set of points treated as a uniform empirical measure."""
 
-    count: int
     points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] != self.count or self.count < 1:
+        if pts.ndim != 2 or pts.shape[0] < 1:
             raise InvalidInput("points must be a count x d array with count >= 1")
         if not np.all(np.isfinite(pts)):
             raise InvalidInput("cloud has non-finite entries")
         object.__setattr__(self, "points", pts)
+
+    @property
+    def count(self) -> int:
+        return self.points.shape[0]
 
     @classmethod
     def from_points(cls, points: np.ndarray) -> "SampleCloud":
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        return cls(count=pts.shape[0], points=pts)
+        return cls(points=pts)
 
 
 def gaussian_w2(a: GaussianSummary, b: GaussianSummary) -> float:
@@ -102,4 +105,4 @@ def moment_summary(cloud: SampleCloud) -> GaussianSummary:
     mean = cloud.points.mean(axis=0)
     centered = cloud.points - mean
     cov = centered.T @ centered / (cloud.count - 1)
-    return GaussianSummary(mean=mean, cov=SymMatrix(0.5 * (cov + cov.T)))
+    return GaussianSummary(mean=mean, cov=SymMatrix(cov))

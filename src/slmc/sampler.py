@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NotPositiveDefinite, NumericalBlowup
-from .spd import SymMatrix, sym_eig
+from .spd import SymMatrix
 from .targets import InitSpec, TargetModel
 from .tuner import ScalingConfig
 
@@ -100,7 +100,8 @@ def _cov_xx_shape(s: np.ndarray) -> np.ndarray:
 
 
 def _modes(config: ScalingConfig, delta: float):
-    """Eigenvectors V of A and the per-eigenvalue closed forms of one step.
+    """Eigenvectors V of A (shared with ``config.A.eig``) and the
+    per-eigenvalue closed forms of one step.
 
     Returns ``(V, mean_w, mean_g, cov)``: ``mean_w`` and ``mean_g`` are
     (2, d) rows (y, w) weighting w and h in the step mean, ``cov`` holds
@@ -108,12 +109,9 @@ def _modes(config: ScalingConfig, delta: float):
     """
     if not (delta > 0.0 and np.isfinite(delta)):
         raise InvalidInput("step size delta must be positive")
-    pair = sym_eig(config.A)
-    alpha = pair.values
-    if alpha[0] <= 0.0:
-        raise InvalidInput("scaling matrix A must be SPD")
+    pair = config.A.eig
     u = config.u
-    ga = config.gamma * alpha
+    ga = config.gamma * pair.values
     s = ga * delta
     one_minus = -np.expm1(-s)  # 1 - e^{-s}, accurate for small s
     mean_w = np.stack([one_minus / ga, np.exp(-s)])

@@ -1,26 +1,38 @@
-"""Dense symmetric positive (semi)definite matrix kernels.
+"""Dense symmetric matrices and functions of their spectrum.
 
-Every matrix function here goes through one full symmetric
-eigendecomposition: inverses and square roots are all
-assembled as ``V diag(fn(w)) V^T``. At the moderate dimensions this
-package targets (dense storage, d <= 4096) a single eigendecomposition
-is cheaper and more flexible than scheme-specific algorithms, and the
-result is explicitly re-symmetrized to suppress floating-point drift.
+A ``SymMatrix`` is the one place a matrix is checked and symmetrized,
+and it keeps its own eigendecomposition: ``eig`` runs one full
+symmetric eigensolve on first use and every later reader shares the
+result, so each matrix is decomposed at most once. Matrix functions
+such as inverses and square roots are assembled from it as
+``V diag(fn(w)) V^T``; at the moderate dimensions this package targets
+(dense storage, d <= 4096) one eigendecomposition is cheaper and more
+flexible than scheme-specific algorithms. Nothing here adds jitter: a
+matrix outside the domain of a function is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInput, NotPositiveDefinite, SingularMatrix
+from .errors import InvalidInput, SingularMatrix
 
 #: Dense d x d storage is assumed throughout; larger inputs are rejected.
 MAX_DIM = 4096
 
 _SYM_RTOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class EigenPair:
+    """Ascending eigenvalues and the matching orthonormal eigenvectors (columns)."""
+
+    values: np.ndarray
+    vectors: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,25 +66,18 @@ class SymMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    @cached_property
+    def eig(self) -> EigenPair:
+        """Full symmetric eigendecomposition, eigenvalues ascending, read-only;
+        computed on first use and kept."""
+        values, vectors = np.linalg.eigh(self.mat)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return EigenPair(values=values, vectors=vectors)
+
     @classmethod
     def diagonal(cls, entries) -> "SymMatrix":
         return cls(np.diag(np.asarray(entries, dtype=float)))
-
-
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    """Ascending eigenvalues and the matching orthonormal eigenvectors (columns)."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eig(m: SymMatrix) -> EigenPair:
-    """Full symmetric eigendecomposition, eigenvalues ascending."""
-    values, vectors = np.linalg.eigh(m.mat)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenPair(values=values, vectors=vectors)
 
 
 def spd_apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> SymMatrix:
@@ -81,20 +86,19 @@ def spd_apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> SymMat
     ``fn`` receives the ascending eigenvalue vector and must return the
     transformed eigenvalues as a vector of the same shape, else
     ``InvalidInput`` is raised. The result is ``V diag(fn(w)) V^T``,
-    re-symmetrized.
+    built from the decomposition kept on ``m``.
 
     Raises ``SingularMatrix`` when ``fn`` produces a non-finite value on
     any eigenvalue, e.g. inverting a singular matrix.
     """
-    pair = sym_eig(m)
+    pair = m.eig
     with np.errstate(all="ignore"):
         w = np.asarray(fn(pair.values), dtype=float)
     if w.shape != pair.values.shape:
         raise InvalidInput(f"fn returned shape {w.shape} for {pair.values.shape} eigenvalues")
     if not np.all(np.isfinite(w)):
         raise SingularMatrix("matrix function undefined on part of the spectrum")
-    result = (pair.vectors * w) @ pair.vectors.T
-    return SymMatrix(0.5 * (result + result.T))
+    return SymMatrix((pair.vectors * w) @ pair.vectors.T)
 
 
 def spd_sqrt(m: SymMatrix, clip_negative: bool = False) -> SymMatrix:
@@ -107,33 +111,3 @@ def spd_sqrt(m: SymMatrix, clip_negative: bool = False) -> SymMatrix:
     if clip_negative:
         return spd_apply_fn(m, lambda w: np.sqrt(np.clip(w, 0.0, None)))
     return spd_apply_fn(m, np.sqrt)
-
-
-def cholesky_psd(m: SymMatrix) -> np.ndarray:
-    """Lower-triangular factor L with L L^T = M, tolerating semidefiniteness.
-
-    A strict factorization is attempted first. On failure the diagonal
-    receives additive jitter ``1e-12 * trace(M)/d``, escalated by 10x at
-    most three times before giving up with ``NotPositiveDefinite``.
-    """
-    a = m.mat
-    if not a.any():
-        # PSD boundary: the zero matrix factors as zero.
-        return np.zeros_like(a)
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
-    base = 1e-12 * float(np.trace(a)) / m.dim
-    eye = np.eye(m.dim)
-    for escalation in range(4):
-        jitter = base * 10.0**escalation
-        if jitter <= 0.0:
-            break
-        try:
-            return np.linalg.cholesky(a + jitter * eye)
-        except np.linalg.LinAlgError:
-            continue
-    raise NotPositiveDefinite(
-        f"matrix is not positive semidefinite within jitter tolerance {base * 1e3:.3e}"
-    )

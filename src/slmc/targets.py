@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidInput, MinimizerNotFound
-from .spd import SymMatrix, spd_apply_fn, sym_eig
+from .errors import InvalidInput, MinimizerNotFound, NotPositiveDefinite
+from .spd import SymMatrix, spd_apply_fn
 
 _GRAD_AT_MIN_TOL = 1e-8
 
@@ -121,8 +121,8 @@ def make_gaussian(
     d = precision.dim
     if mean.shape != (d,):
         raise InvalidInput("mean has wrong dimension for the precision matrix")
-    pair = sym_eig(precision)
-    lo, hi = float(pair.values[0]), float(pair.values[-1])
+    spectrum = precision.eig.values
+    lo, hi = float(spectrum[0]), float(spectrum[-1])
     if lo <= 0.0:
         raise InvalidInput(f"precision matrix is not SPD (lambda_min = {lo:.3e})")
     p = precision.mat
@@ -199,8 +199,7 @@ def make_logistic_ridge(
     def hess(x: np.ndarray) -> SymMatrix:
         z = ya @ x
         w = expit(z) * expit(-z)
-        h = (a * w[:, None]).T @ a + ridge * np.eye(d)
-        return SymMatrix(0.5 * (h + h.T))
+        return SymMatrix((a * w[:, None]).T @ a + ridge * np.eye(d))
 
     minimizer = _newton_minimize(value, grad, hess, d, max_newton_iter)
 
@@ -267,12 +266,17 @@ def grad_check(target: TargetModel, point: np.ndarray) -> float:
 def sample_exact_positions(
     target: TargetModel, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exact draws from the target's position marginal (closed-form targets only)."""
+    """Exact draws from the target's position marginal (closed-form targets only).
+
+    Raises ``NotPositiveDefinite`` when ``position_cov`` has no Cholesky
+    factor; no jitter is added.
+    """
     if target.position_cov is None:
         raise InvalidInput(f"target {target.name!r} has no closed-form sampler")
-    from .spd import cholesky_psd  # local import keeps module load order simple
-
-    chol = cholesky_psd(target.position_cov)
+    try:
+        chol = np.linalg.cholesky(target.position_cov.mat)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"position covariance does not factor: {exc}") from exc
     z = rng.standard_normal((count, target.dim))
     return target.minimizer + z @ chol.T
 

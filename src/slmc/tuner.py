@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, TheoremInapplicable
-from .spd import SymMatrix, sym_eig
+from .spd import SymMatrix
 from .targets import TargetModel
 
 
@@ -47,7 +47,7 @@ class ScalingConfig:
             raise InvalidInput("u and gamma must be positive")
         if self.theta < 0.0:
             raise InvalidInput("theta must be nonnegative")
-        if sym_eig(self.A).values[0] <= 0.0:
+        if self.A.eig.values[0] <= 0.0:
             raise InvalidInput("scaling matrix A must be SPD")
 
 
@@ -80,7 +80,7 @@ def estimate_theta(
         raise InvalidInput("candidate and probe sets must be nonempty")
     if target.hess_constant:
         y0 = np.asarray(candidate_ys[0], dtype=float)
-        m_hat = float(sym_eig(target.hess_oracle(y0)).values[0])
+        m_hat = float(target.hess_oracle(y0).eig.values[0])
         return ThetaEstimate(theta=0.0, y_hat=y0, m_hat=m_hat)
 
     probe_hessians = [target.hess_oracle(np.asarray(x, dtype=float)).mat for x in probe_xs]
@@ -90,13 +90,12 @@ def estimate_theta(
     for y in candidate_ys:
         y = np.asarray(y, dtype=float)
         h_y = target.hess_oracle(y).mat
-        m_y = float(np.linalg.eigvalsh(0.5 * (h_y + h_y.T))[0])
+        m_y = float(np.linalg.eigvalsh(h_y)[0])
         if m_y <= 0.0:
             raise InvalidInput("candidate anchor has a non-SPD Hessian")
         value = 0.0
         for h_x in probe_hessians:
-            diff = h_x - h_y
-            spectral = float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.T))).max())
+            spectral = float(np.abs(np.linalg.eigvalsh(h_x - h_y)).max())
             value = max(value, spectral / m_y)
         if value < best_value:
             best_value, best_y, best_m = value, y, m_y
@@ -128,8 +127,6 @@ def scaled_params(target: TargetModel, theta_result: ThetaEstimate) -> ScalingCo
     if theta_result.m_hat <= 0.0:
         raise InvalidInput("m_hat must be positive")
     h_anchor = target.hess_oracle(theta_result.y_hat)
-    if sym_eig(h_anchor).values[0] <= 0.0:
-        raise InvalidInput("Hessian at the anchor is not SPD")
     # The local curvature can never fall below the global modulus; clamp
     # away eigensolver round-off so kappa_hat <= kappa holds exactly.
     m_hat = max(theta_result.m_hat, target.m)

@@ -84,6 +84,14 @@ class TestSample:
         xs, _ = read_samples(out_dir / "samples_scaled.bin")
         assert xs.shape == (400, 2)
 
+    def test_default_burn_in_is_half_the_run(self, tmp_path):
+        config_path = tmp_path / "no_burn_in.cfg"
+        config_path.write_text(CONFIG.replace("burn_in = 100\n", ""))
+        out_dir = tmp_path / "out"
+        assert main(["sample", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        xs, _ = read_samples(out_dir / "samples_scaled.csv")
+        assert xs.shape == (500 - 500 // 2, 2)
+
     def test_method_selection(self, config_path, tmp_path):
         out_dir = tmp_path / "out"
         code = main(

@@ -80,6 +80,20 @@ class TestRunExperiment:
         rows_b = run_experiment(small_config())
         assert rows_a == rows_b
 
+    def test_each_matrix_decomposed_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        config = small_config(methods=("scaled", "unscaled"), epsilons=(0.5, 0.25), n_override=200)
+        run_experiment(config)
+        # P, P^-1, the scaled A and I once each, plus one inner root per cell in gaussian_w2
+        assert len(calls) == 4 + 4
+
     def test_velocity_ratio_near_one(self):
         config = small_config(n_override=20000, delta_override=0.05, burn_in=2000)
         row = run_experiment(config)[0]

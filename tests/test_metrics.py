@@ -147,7 +147,3 @@ class TestSampleCloud:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInput):
             SampleCloud.from_points(np.array([[np.nan, 0.0]]))
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(InvalidInput):
-            SampleCloud(count=3, points=np.zeros((2, 2)))

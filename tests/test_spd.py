@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_spd
-from slmc import (
-    InvalidInput,
-    NotPositiveDefinite,
-    SingularMatrix,
-    SymMatrix,
-    cholesky_psd,
-    spd_apply_fn,
-    sym_eig,
-)
+from helpers import make_config, random_spd
+from slmc import InvalidInput, SingularMatrix, SymMatrix, make_step_cache, spd_apply_fn
 
 
 class TestSymMatrix:
@@ -42,15 +34,26 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             sym.mat[0, 0] = 5.0
 
+    def test_decomposition_kept_and_read_only(self):
+        m = random_spd(np.random.default_rng(3), 3)
+        assert m.eig is m.eig
+        for array in (m.eig.values, m.eig.vectors):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+
+    def test_step_cache_shares_the_decomposition_of_a(self):
+        config = make_config(random_spd(np.random.default_rng(4), 3))
+        assert make_step_cache(config, 0.1).vectors is config.A.eig.vectors
+
 
 class TestSymEig:
     def test_identity(self):
-        pair = sym_eig(SymMatrix(np.eye(3)))
+        pair = SymMatrix(np.eye(3)).eig
         assert np.allclose(pair.values, [1.0, 1.0, 1.0])
         assert np.allclose(pair.vectors @ pair.vectors.T, np.eye(3), atol=1e-10)
 
     def test_diagonal(self):
-        pair = sym_eig(SymMatrix(np.diag([2.0, 8.0])))
+        pair = SymMatrix(np.diag([2.0, 8.0])).eig
         assert np.allclose(pair.values, [2.0, 8.0])
         # axis-aligned basis up to sign
         assert np.allclose(np.abs(pair.vectors), np.eye(2), atol=1e-12)
@@ -58,7 +61,7 @@ class TestSymEig:
     def test_random_spd_residual(self):
         rng = np.random.default_rng(7)
         m = random_spd(rng, 4, lo=0.5, hi=20.0)
-        pair = sym_eig(m)
+        pair = m.eig
         for i in range(4):
             residual = m.mat @ pair.vectors[:, i] - pair.values[i] * pair.vectors[:, i]
             assert np.linalg.norm(residual) < 1e-9
@@ -69,7 +72,7 @@ class TestSymEig:
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 6))
         m = random_spd(rng, d)
-        pair = sym_eig(m)
+        pair = m.eig
         assert np.allclose(pair.vectors.T @ pair.vectors, np.eye(d), atol=1e-10)
         rebuilt = (pair.vectors * pair.values) @ pair.vectors.T
         assert np.allclose(rebuilt, m.mat, rtol=1e-10, atol=1e-10)
@@ -93,36 +96,3 @@ class TestApplyFn:
         m = random_spd(rng, d, lo=1e-4, hi=1e4)  # condition number <= 1e8
         inverse = spd_apply_fn(m, lambda w: 1.0 / w)
         assert np.allclose(inverse.mat @ m.mat, np.eye(d), atol=1e-9)
-
-
-class TestCholeskyPsd:
-    def test_identity(self):
-        assert np.allclose(cholesky_psd(SymMatrix(np.eye(3))), np.eye(3))
-
-    def test_reconstruction(self):
-        m = SymMatrix(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        low = cholesky_psd(m)
-        assert np.allclose(low @ low.T, m.mat, atol=1e-12)
-
-    def test_zero_matrix(self):
-        assert np.array_equal(cholesky_psd(SymMatrix(np.zeros((2, 2)))), np.zeros((2, 2)))
-
-    def test_semidefinite_uses_jitter(self):
-        rank_one = np.outer([1.0, 2.0], [1.0, 2.0])
-        low = cholesky_psd(SymMatrix(rank_one))
-        assert np.allclose(low @ low.T, rank_one, atol=1e-8)
-
-    def test_indefinite_raises(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky_psd(SymMatrix(np.diag([1.0, -1.0])))
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_lower_triangular_nonnegative_diagonal(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 6))
-        rank = int(rng.integers(1, d + 1))
-        b = rng.standard_normal((d, rank))
-        low = cholesky_psd(SymMatrix(b @ b.T))
-        assert np.allclose(low, np.tril(low))
-        assert np.all(np.diag(low) >= 0.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,14 @@ from slmc import (
     InitSpec,
     InvalidInput,
     MinimizerNotFound,
+    NotPositiveDefinite,
     SymMatrix,
     TargetModel,
     grad_check,
     load_logistic_csv,
     make_gaussian,
     make_logistic_ridge,
-    sym_eig,
+    sample_exact_positions,
 )
 
 
@@ -55,6 +58,13 @@ class TestGaussian:
         p = SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         t = make_gaussian(np.zeros(2), p)
         assert np.allclose(t.position_cov.mat @ p.mat, np.eye(2), atol=1e-12)
+
+    def test_singular_position_cov_raises(self):
+        # exact draws factor position_cov as it is, with no jitter
+        t = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))
+        singular = replace(t, position_cov=SymMatrix(np.diag([1.0, 0.0])))
+        with pytest.raises(NotPositiveDefinite):
+            sample_exact_positions(singular, 4, np.random.default_rng(0))
 
 
 class TestLogisticRidge:
@@ -122,7 +132,7 @@ class TestSharedInvariants:
         rng = np.random.default_rng(9)
         for _ in range(100):
             x = rng.standard_normal(target.dim)
-            top = sym_eig(target.hess_oracle(x)).values[-1]
+            top = target.hess_oracle(x).eig.values[-1]
             assert top <= target.L + 1e-9
 
 

@@ -87,6 +87,11 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+def _print_warnings(method: str, epsilon: float, notes) -> None:
+    for note in notes:
+        print(f"warning [{method} eps={epsilon:g}]: {note}", file=sys.stderr)
+
+
 def _cmd_sample(args) -> int:
     config = _load_config(args)
     method = args.method or config.methods[0]
@@ -95,7 +100,8 @@ def _cmd_sample(args) -> int:
     setup = experiment.prepare_run(config, (method,))
     target, init = setup.target, setup.init
     chain_config = setup.chain_config(method)
-    delta, n_steps, burn_in, _ = setup.cell(config, method, config.epsilons[0])
+    delta, n_steps, burn_in, warnings = setup.cell(config, method, config.epsilons[0])
+    _print_warnings(method, config.epsilons[0], warnings)
 
     cell_index = config.methods.index(method) * len(config.epsilons)
     rng = np.random.default_rng(experiment.chain_seed(config.seed, cell_index, 0))
@@ -136,8 +142,7 @@ def _cmd_compare(args) -> int:
     path = out_dir / "results.csv"
     experiment.emit_csv(rows, path)
     for row in rows:
-        for note in row.warnings:
-            print(f"warning [{row.method} eps={row.epsilon:g}]: {note}", file=sys.stderr)
+        _print_warnings(row.method, row.epsilon, row.warnings)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

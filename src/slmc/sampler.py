@@ -18,9 +18,10 @@ s = gamma a d (writing d for delta) each pair moves as
 
 The covariance does not depend on the state, and the cross term is
 structurally nonzero, so each pair is drawn jointly through its closed-form
-lower 2x2 Cholesky factor. A step therefore costs two products with V
-(into and out of the eigenbasis) plus length-d arithmetic; for A = I,
-V is the identity and every operation is diagonal.
+lower 2x2 Cholesky factor. A step therefore costs two changes of basis
+(the gradient in, the new state out) plus length-d arithmetic. Each is a
+product with V for a dense A, and an O(d) indexing for a diagonal A
+(the unscaled A = I included), whose V is a permutation.
 
 All chains of a run move as one batch: one step cache, one (C, 2, d)
 array of (y; w) rows, and per step one ``grad_oracle`` call on the (C, d)
@@ -130,8 +131,10 @@ def _modes(config: ScalingConfig, delta: float):
 class StepCache:
     """One step of fixed (A, gamma, u, delta), stored per eigenvalue of A.
 
-    ``vectors`` holds the eigenvectors V of A as columns. Every other
-    array is per mode, indexed by eigenvalue along its last axis:
+    ``vectors`` holds the eigenvectors V of A as columns; when V is a
+    permutation, ``perm`` (``config.A.eig.perm``) and its inverse ``unperm``
+    index in place of products with V and V^T. Every other array is per
+    mode, indexed by eigenvalue along its last axis:
     ``mean_w`` and ``mean_g`` are the (2, d) rows (y, w) by which the
     step mean weights the velocity w = V^T v and the gradient h = V^T g,
     and ``factor[i, j]`` is entry (i, j) of each mode's lower 2x2
@@ -143,31 +146,44 @@ class StepCache:
     delta: float
     dim: int
     vectors: np.ndarray
+    perm: np.ndarray | None
+    unperm: np.ndarray | None
     mean_w: np.ndarray
     mean_g: np.ndarray
     factor: np.ndarray
 
 
-def _mean(vectors, mean_w, mean_g, ns: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _to_eigen(cache: StepCache, z: np.ndarray) -> np.ndarray:
+    """z V: coordinates (..., d) into the eigenbasis of A."""
+    return z @ cache.vectors if cache.perm is None else z.take(cache.perm, axis=-1)
+
+
+def _from_eigen(cache: StepCache, z: np.ndarray) -> np.ndarray:
+    """z V^T: eigen-coordinates (..., d) back to the original basis."""
+    return z @ cache.vectors.T if cache.perm is None else z.take(cache.unperm, axis=-1)
+
+
+def _mean(mean_w, mean_g, ns: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Step mean of the eigen-coordinate rows ``ns`` = (..., 2, d) = (y; w)
-    under gradients g of shape (..., d)."""
+    under eigen-coordinate gradients h = g V of shape (..., d)."""
     out = mean_w * ns[..., 1:, :]
     out[..., 0, :] += ns[..., 0, :]
-    out -= mean_g * (g @ vectors)[..., None, :]
+    out -= mean_g * h[..., None, :]
     return out
 
 
 def kernel_moments(
     state: ChainState, grad: np.ndarray, config: ScalingConfig, delta: float
 ) -> KernelMoments:
-    """Exact first and second moments of one frozen-gradient step."""
+    """Exact first and second moments of one frozen-gradient step, assembled
+    with dense products by V: the reference the indexed step is tested against."""
     vectors, mean_w, mean_g, cov = _modes(config, delta)
     d = vectors.shape[0]
     g = np.asarray(grad, dtype=float)
     if g.shape != (d,) or state.dim != d:
         raise InvalidInput("state/gradient dimension does not match A")
     ns = np.stack([state.x, state.v]) @ vectors
-    mean = _mean(vectors, mean_w, mean_g, ns, g) @ vectors.T
+    mean = _mean(mean_w, mean_g, ns, g @ vectors) @ vectors.T
 
     def assemble(coef: np.ndarray) -> np.ndarray:
         out = (vectors * coef) @ vectors.T
@@ -199,11 +215,17 @@ def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
         raise NotPositiveDefinite(
             f"step covariance is not positive definite at delta = {delta:.3e}"
         )
+    perm, unperm = config.A.eig.perm, None
+    if perm is not None:
+        unperm = np.empty_like(perm)
+        unperm[perm] = np.arange(perm.size)  # argsort(perm); a sort would page in ~0.3 MB more
     return StepCache(
         config=config,
         delta=delta,
         dim=vectors.shape[0],
         vectors=vectors,
+        perm=perm,
+        unperm=unperm,
         mean_w=mean_w,
         mean_g=mean_g,
         factor=factor,
@@ -239,9 +261,9 @@ def _advance(cache: StepCache, ns: np.ndarray, g: np.ndarray, noise: np.ndarray,
     noise (C or 1, 2, d); returns the new (y; w) and (x; v) rows. A coordinate
     beyond BLOWUP_GUARD, or a non-finite one (as a non-finite gradient always
     gives), raises ``NumericalBlowup`` at ``step_index``."""
-    out = _mean(cache.vectors, cache.mean_w, cache.mean_g, ns, g)
+    out = _mean(cache.mean_w, cache.mean_g, ns, _to_eigen(cache, g))
     out += noise
-    xv = out @ cache.vectors.T
+    xv = _from_eigen(cache, out)
     if not np.abs(xv).max() < BLOWUP_GUARD:
         if np.isfinite(g).all():
             raise NumericalBlowup("chain coordinate left the guarded region", step_index)
@@ -257,7 +279,7 @@ def step(
         raise InvalidInput("state/target dimension does not match the cache")
     xv = np.stack([state.x, state.v])[None]
     noise = next(_step_noise(cache, (rng,), 1))
-    _, xv = _advance(cache, xv @ cache.vectors, target.grad_oracle(xv[:, 0]), noise)
+    _, xv = _advance(cache, _to_eigen(cache, xv), target.grad_oracle(xv[:, 0]), noise)
     return ChainState(x=xv[0, 0], v=xv[0, 1])
 
 
@@ -300,7 +322,7 @@ def run_chains(
     if stationary_velocity_init:
         for row, rng in zip(xv, rngs):
             row[1] = math.sqrt(config.u) * rng.standard_normal(target.dim)
-    ns = xv @ cache.vectors
+    ns = _to_eigen(cache, xv)
 
     kept = max(0, (n_steps - burn_in) // thin)
     held = np.empty((len(rngs), kept, 2, target.dim))
@@ -342,7 +364,7 @@ def coupled_pair_run(
     cache = _checked_cache((init_a, init_b), target, config, delta, n_steps)
     xv = np.zeros((2, 2, target.dim))
     xv[0, 0], xv[1, 0] = init_a.x0, init_b.x0
-    ns = xv @ cache.vectors
+    ns = _to_eigen(cache, xv)
 
     def rho(xv) -> float:
         dx = xv[0, 0] - xv[1, 0]

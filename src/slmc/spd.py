@@ -3,7 +3,8 @@
 A ``SymMatrix`` is the one place a matrix is checked and symmetrized,
 and it keeps its own eigendecomposition: ``eig`` runs one full
 symmetric eigensolve on first use and every later reader shares the
-result, so each matrix is decomposed at most once. Matrix functions
+result, so each matrix is decomposed at most once (an ascending
+diagonal is its own decomposition and skips the solver). Matrix functions
 such as inverses and square roots are assembled from it as
 ``V diag(fn(w)) V^T``; at the moderate dimensions this package targets
 (dense storage, d <= 4096) one eigendecomposition is cheaper and more
@@ -29,10 +30,13 @@ _SYM_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
-    """Ascending eigenvalues and the matching orthonormal eigenvectors (columns)."""
+    """Ascending eigenvalues and the matching orthonormal eigenvectors (columns).
+    For a diagonal matrix whose V is a permutation (column j is e_perm[j]),
+    ``perm`` makes ``z[..., perm]`` equal ``z @ V`` bit for bit; else None."""
 
     values: np.ndarray
     vectors: np.ndarray
+    perm: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +73,21 @@ class SymMatrix:
     @cached_property
     def eig(self) -> EigenPair:
         """Full symmetric eigendecomposition, eigenvalues ascending, read-only;
-        computed on first use and kept."""
-        values, vectors = np.linalg.eigh(self.mat)
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        return EigenPair(values=values, vectors=vectors)
+        computed on first use and kept. A diagonal matrix with a
+        non-decreasing diagonal returns (diagonal, I), as ``eigh`` would."""
+        entries = np.diagonal(self.mat)
+        diagonal = np.count_nonzero(self.mat) == np.count_nonzero(entries)
+        if diagonal and (entries[1:] >= entries[:-1]).all():
+            values, vectors, perm = entries.copy(), np.eye(self.dim), np.arange(self.dim)
+        else:
+            values, vectors = np.linalg.eigh(self.mat)
+            perm = np.nonzero(vectors.T)[1] if diagonal else None
+            if diagonal and not np.array_equal(vectors, np.eye(self.dim)[:, perm]):
+                perm = None
+        for array in (values, vectors, perm):
+            if array is not None:
+                array.setflags(write=False)
+        return EigenPair(values=values, vectors=vectors, perm=perm)
 
     @classmethod
     def diagonal(cls, entries) -> "SymMatrix":

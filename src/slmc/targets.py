@@ -115,7 +115,8 @@ def make_gaussian(
     """Gaussian target f(x) = (x-mean)^T P (x-mean) / 2 for SPD precision P.
 
     The Hessian is the constant P, so m and L are its extreme
-    eigenvalues and the stationary position covariance is P^{-1}.
+    eigenvalues and the stationary position covariance is P^{-1}. A
+    diagonal P is applied elementwise.
     """
     mean = np.asarray(mean, dtype=float)
     d = precision.dim
@@ -126,13 +127,15 @@ def make_gaussian(
     if lo <= 0.0:
         raise InvalidInput(f"precision matrix is not SPD (lambda_min = {lo:.3e})")
     p = precision.mat
+    diag = None if precision.eig.perm is None else np.diagonal(p)
 
     def value(x: np.ndarray) -> float:
         r = x - mean
-        return 0.5 * float(r @ (p @ r))
+        return 0.5 * float(r @ (p @ r if diag is None else diag * r))
 
     def grad(x: np.ndarray) -> np.ndarray:
-        return (x - mean) @ p  # row-wise, as p is symmetric
+        r = x - mean
+        return r @ p if diag is None else r * diag  # row-wise, as p is symmetric
 
     def hess(_: np.ndarray) -> SymMatrix:
         return precision

@@ -100,6 +100,22 @@ class TestSample:
         assert code == 0
         assert (out_dir / "samples_unscaled.csv").exists()
 
+    def test_reports_the_warnings_compare_reports(self, tmp_path, capsys):
+        # at eps = 40 the planned delta, like the overridden 0.05, exceeds the
+        # stationary-energy cap 4.66e-2 of the scaled recipe on this target
+        config_path = tmp_path / "capped.cfg"
+        text = CONFIG.replace("epsilons = 0.5", "epsilons = 40").replace("n_steps = 500", "n_steps = 200")
+        config_path.write_text(text.replace("methods = scaled, unscaled", "methods = scaled"))
+        runs = {}
+        for command in ("sample", "compare"):
+            out_dir = tmp_path / command
+            assert main([command, "--config", str(config_path), "--out", str(out_dir)]) == 0
+            runs[command] = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert runs["sample"] == runs["compare"]
+        assert len(runs["sample"]) == 1
+        assert runs["sample"][0].startswith("warning [scaled eps=40]: delta = ")
+        assert "exceeds the stationary-energy cap" in runs["sample"][0]
+
     def test_trace_writes_curve(self, config_path, tmp_path):
         out_dir = tmp_path / "out"
         code = main(

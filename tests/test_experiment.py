@@ -91,8 +91,9 @@ class TestRunExperiment:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         config = small_config(methods=("scaled", "unscaled"), epsilons=(0.5, 0.25), n_override=200)
         run_experiment(config)
-        # P, P^-1, the scaled A and I once each, plus one inner root per cell in gaussian_w2
-        assert len(calls) == 4 + 4
+        # P, the scaled A and I have ascending diagonals and skip eigh; P^-1 (descending)
+        # is decomposed once, plus one inner root per cell in gaussian_w2
+        assert len(calls) == 1 + 4
 
     def test_velocity_ratio_near_one(self):
         config = small_config(n_override=20000, delta_override=0.05, burn_in=2000)

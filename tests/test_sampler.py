@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,6 +268,54 @@ class TestStep:
         calls["n"] = 0  # discard the minimizer-consistency call made on construction
         step(ChainState(x=np.ones(2), v=np.zeros(2)), counted, cache, np.random.default_rng(0))
         assert calls["n"] == 1
+
+
+class TestIndexPath:
+    """A diagonal A has a permutation V: the step indexes instead of multiplying."""
+
+    @staticmethod
+    def unsorted_target():
+        return make_gaussian(np.array([0.5, -1.0, 2.0]), SymMatrix.diagonal([4.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("method", ["scaled", "unscaled"])
+    def test_zero_noise_step_equals_dense_reference(self, method):
+        target = self.unsorted_target()
+        if method == "scaled":
+            config = scaled_params(target, estimate_theta(target, [np.zeros(3)], [np.zeros(3)]))
+            assert not np.array_equal(config.A.eig.perm, np.arange(3))
+        else:
+            config = unscaled_config(target)
+        cache = make_step_cache(config, 0.1)
+        assert cache.perm is not None
+        state = ChainState(x=np.array([0.3, 1.2, -0.8]), v=np.array([-0.4, 0.1, 0.9]))
+        out = step(state, target, cache, ZeroRng())
+        mom = kernel_moments(state, target.grad_oracle(state.x), config, 0.1)
+        assert np.array_equal(out.x, mom.mean_x)
+        assert np.array_equal(out.v, mom.mean_v)
+
+    def test_dense_a_keeps_the_matrix_products(self):
+        cache = make_step_cache(make_config(random_spd(np.random.default_rng(43), 3)), 0.1)
+        assert cache.perm is None and cache.unperm is None
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["index", "dense"])
+    def test_non_finite_gradient_raises_at_its_step(self, dense):
+        target = self.unsorted_target()
+        calls = {"n": 0}
+
+        def grad(x):
+            calls["n"] += 1
+            g = target.grad_oracle(x)
+            if calls["n"] > 7:  # the construction check is call 1, step i is call i + 1
+                g[..., 1] = np.nan
+            return g
+
+        nan_target = replace(target, grad_oracle=grad)
+        rng = np.random.default_rng(44)
+        config = make_config(random_spd(rng, 3)) if dense else unscaled_config(target)
+        init = InitSpec.from_point(target, np.ones(3))
+        with pytest.raises(NumericalBlowup, match="gradient oracle returned non-finite") as err:
+            run_chain(init, nan_target, config, 0.1, 20, rng)
+        assert err.value.step_index == 7
 
 
 class TestRunChain:

@@ -47,6 +47,51 @@ class TestSymMatrix:
 
 
 class TestSymEig:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [1.0],
+            [1.0, 1.0, 1.0],
+            [0.5, 2.0, 2.0, 2.0, 7.0],
+            [-3.0, 0.0, 0.0, 1e-300, 4.0],
+            np.repeat(np.geomspace(1.0, 100.0, 40), 3),
+            np.ones(512),
+        ],
+        ids=["d1", "identity", "ties", "signs-and-zeros", "geomspace-ties", "i512"],
+    )
+    def test_sorted_diagonal_matches_eigh_without_calling_it(self, entries, monkeypatch):
+        mat = np.diag(np.asarray(entries, dtype=float))
+        values, vectors = np.linalg.eigh(mat)
+
+        def no_eigh(*_args, **_kwargs):
+            raise AssertionError("eigh called on a sorted diagonal")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        pair = SymMatrix(mat).eig
+        assert np.array_equal(pair.values, values)
+        assert np.array_equal(pair.vectors, vectors)
+        assert np.array_equal(pair.perm, np.arange(mat.shape[0]))
+        for array in (pair.values, pair.vectors, pair.perm):
+            assert not array.flags.writeable
+
+    def test_unsorted_diagonal_records_its_permutation(self):
+        pair = SymMatrix.diagonal([4.0, 1.0, 2.0]).eig
+        assert np.array_equal(pair.values, [1.0, 2.0, 4.0])
+        assert np.array_equal(pair.perm, [1, 2, 0])
+        z = np.random.default_rng(5).standard_normal((4, 2, 3))
+        assert np.array_equal(z @ pair.vectors, z[..., pair.perm])
+
+    def test_dense_or_signed_eigenvectors_have_no_permutation(self, monkeypatch):
+        assert random_spd(np.random.default_rng(6), 3).eig.perm is None
+        eigh = np.linalg.eigh
+
+        def signed_eigh(a):
+            values, vectors = eigh(a)
+            return values, -vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", signed_eigh)
+        assert SymMatrix.diagonal([4.0, 1.0, 2.0]).eig.perm is None
+
     def test_identity(self):
         pair = SymMatrix(np.eye(3)).eig
         assert np.allclose(pair.values, [1.0, 1.0, 1.0])

@@ -50,6 +50,30 @@ class TestGaussian:
         h2 = t.hess_oracle(np.array([5.0, -3.0])).mat
         assert np.array_equal(h1, h2)
 
+    def test_diagonal_precision_is_applied_elementwise(self):
+        precision = SymMatrix.diagonal([4.0, 1.0, 2.0])
+        mean = np.array([0.5, -1.0, 2.0])
+        t = make_gaussian(mean, precision)
+        assert precision.eig.perm is not None
+        xs = np.random.default_rng(8).standard_normal((5, 3))
+        assert np.array_equal(t.grad_oracle(xs), (xs - mean) @ precision.mat)
+        for x in xs:
+            r = x - mean
+            assert np.array_equal(t.grad_oracle(x), r @ precision.mat)
+            assert t.value_oracle(x) == 0.5 * float(r @ (precision.mat @ r))
+
+    def test_dense_precision_gradient(self):
+        precision = SymMatrix(np.array([[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 3.0]]))
+        mean = np.array([0.5, -1.0, 2.0])
+        t = make_gaussian(mean, precision)
+        assert precision.eig.perm is None
+        xs = np.random.default_rng(9).standard_normal((5, 3))
+        expected = np.array([precision.mat @ (x - mean) for x in xs])
+        assert np.allclose(t.grad_oracle(xs), expected, rtol=1e-12, atol=0.0)
+        for x, g in zip(xs, expected):
+            assert np.allclose(t.grad_oracle(x), g, rtol=1e-12, atol=0.0)
+            assert t.value_oracle(x) == pytest.approx(0.5 * (x - mean) @ g, rel=1e-12)
+
     def test_gradient_exact(self):
         t = make_gaussian(np.ones(2), SymMatrix(np.diag([1.0, 4.0])))
         assert grad_check(t, np.array([0.3, -0.7])) <= 1e-6

@@ -28,7 +28,9 @@ from .tuner import (
     plan_scaled,
     plan_unscaled,
     scaled_params,
+    scaled_step_warnings,
     unscaled_config,
+    unscaled_step_warnings,
 )
 
 METHODS = ("scaled", "unscaled")
@@ -326,26 +328,32 @@ class RunSetup:
     def cell(
         self, config: ExperimentConfig, method: str, epsilon: float
     ) -> tuple[float, int, int, list[str]]:
-        """Step size, step count, burn-in and planner warnings of one cell.
+        """Step size, step count, burn-in and warnings of one cell.
 
-        The config's delta/n_steps overrides win over the plan, and then
-        a planner failure becomes a warning. Burn-in defaults to
+        The config's delta/n_steps overrides win over the plan; the
+        warnings then judge the override delta, and a theorem that does
+        not apply becomes a warning. Burn-in defaults to
         ``min(n // 2, n - 1)``: planner-driven runs are only a few
         relaxation times long, so the start-up transient is material.
         """
-        warnings: list[str] = []
         if config.delta_override is not None:
             delta, n_steps = config.delta_override, config.n_override
             try:
-                warnings.extend(self.plan(method, epsilon).warnings)
+                warnings = self.step_warnings(method, delta)
             except TheoremInapplicable as exc:
-                warnings.append(str(exc))
+                warnings = [str(exc)]
         else:
             plan = self.plan(method, epsilon)
-            delta, n_steps = plan.delta, plan.n_steps
-            warnings.extend(plan.warnings)
+            delta, n_steps, warnings = plan.delta, plan.n_steps, list(plan.warnings)
         burn_in = config.burn_in if config.burn_in is not None else n_steps // 2
         return delta, n_steps, min(burn_in, n_steps - 1), warnings
+
+    def step_warnings(self, method: str, delta: float) -> list[str]:
+        """The planner's checks of ``method``'s guarantee, run on ``delta``."""
+        if method == "scaled":
+            target, bound = self.target, self.init.dist_bound
+            return scaled_step_warnings(delta, self.scaled, target.dim, target.m, bound)
+        return unscaled_step_warnings(delta)
 
 
 def prepare_run(config: ExperimentConfig, methods: tuple[str, ...] | None = None) -> RunSetup:
@@ -392,6 +400,7 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
         pooled_x = np.vstack([run.xs for run in runs])
         pooled_v = np.vstack([run.vs for run in runs])
         vel_ratio = float((pooled_v**2).sum(axis=1).mean() / (chain_config.u * target.dim))
+        del runs, pooled_v  # free the chains before the W2 evaluation
 
         if summary is not None:
             w2_gauss = gaussian_w2(moment_summary(SampleCloud.from_points(pooled_x)), summary)

@@ -6,7 +6,8 @@ symmetric eigensolve on first use and every later reader shares the
 result, so each matrix is decomposed at most once (an ascending
 diagonal is its own decomposition and skips the solver). Matrix functions
 such as inverses and square roots are assembled from it as
-``V diag(fn(w)) V^T``; at the moderate dimensions this package targets
+``V diag(fn(w)) V^T`` (or put back on the diagonal when V is a
+permutation); at the moderate dimensions this package targets
 (dense storage, d <= 4096) one eigendecomposition is cheaper and more
 flexible than scheme-specific algorithms. Nothing here adds jitter: a
 matrix outside the domain of a function is an error.
@@ -100,7 +101,8 @@ def spd_apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> SymMat
     ``fn`` receives the ascending eigenvalue vector and must return the
     transformed eigenvalues as a vector of the same shape, else
     ``InvalidInput`` is raised. The result is ``V diag(fn(w)) V^T``,
-    built from the decomposition kept on ``m``.
+    built from the decomposition kept on ``m``; when V is a permutation
+    the values are put back on the diagonal instead.
 
     Raises ``SingularMatrix`` when ``fn`` produces a non-finite value on
     any eigenvalue, e.g. inverting a singular matrix.
@@ -112,6 +114,10 @@ def spd_apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> SymMat
         raise InvalidInput(f"fn returned shape {w.shape} for {pair.values.shape} eigenvalues")
     if not np.all(np.isfinite(w)):
         raise SingularMatrix("matrix function undefined on part of the spectrum")
+    if pair.perm is not None:
+        diagonal = np.empty_like(w)
+        diagonal[pair.perm] = w
+        return SymMatrix.diagonal(diagonal)
     return SymMatrix((pair.vectors * w) @ pair.vectors.T)
 
 

@@ -271,13 +271,20 @@ def sample_exact_positions(
 ) -> np.ndarray:
     """Exact draws from the target's position marginal (closed-form targets only).
 
-    Raises ``NotPositiveDefinite`` when ``position_cov`` has no Cholesky
-    factor; no jitter is added.
+    A diagonal ``position_cov`` scales the draws by its roots; any other
+    is factored by Cholesky. Raises ``NotPositiveDefinite`` when the
+    covariance is not positive definite; no jitter is added.
     """
-    if target.position_cov is None:
+    cov = target.position_cov
+    if cov is None:
         raise InvalidInput(f"target {target.name!r} has no closed-form sampler")
+    if cov.eig.perm is not None:
+        variances = np.diagonal(cov.mat)
+        if not (variances > 0.0).all():
+            raise NotPositiveDefinite("position covariance has a non-positive variance")
+        return target.minimizer + rng.standard_normal((count, target.dim)) * np.sqrt(variances)
     try:
-        chol = np.linalg.cholesky(target.position_cov.mat)
+        chol = np.linalg.cholesky(cov.mat)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"position covariance does not factor: {exc}") from exc
     z = rng.standard_normal((count, target.dim))

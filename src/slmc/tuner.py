@@ -190,18 +190,11 @@ def plan_scaled(
     n     = kappa_hat/(eps (1-2 theta)^2) * sqrt(18432/5) * sqrt(d/m + D^2)
             * log(16 (2 d/m + D^2)/eps),  rounded up.
 
-    Requires theta < 1/2. The ``applicable`` flag additionally checks
-    2 delta (1-2 theta) < 1 and the stationary-energy step cap
-    delta <= (1-2 theta)/(2 kappa_hat) * sqrt(5 (8d/m + 4D^2)/(8 e_K))
-    with e_K = 36 (d/m + D^2).
+    Requires theta < 1/2. The ``applicable`` flag additionally checks the
+    planned delta against :func:`scaled_step_warnings`.
     """
     scale = _checked_scale(epsilon, d, m, dist_bound)
-    theta = config.theta
-    if theta >= 0.5:
-        raise TheoremInapplicable(
-            f"theta = {theta:.3g} >= 1/2: no step-size guarantee exists"
-        )
-    gap = 1.0 - 2.0 * theta
+    gap = _oscillation_gap(config.theta)
     kap = config.kappa_hat
     delta = (epsilon * gap / kap) * math.sqrt(5.0 / 73728.0) * math.sqrt(1.0 / scale)
     n_real = (
@@ -210,27 +203,55 @@ def plan_scaled(
         * math.sqrt(scale)
         * math.log(16.0 * (2.0 * d / m + dist_bound**2) / epsilon)
     )
-    n_steps = _steps_from_bound(n_real)
+    notes = scaled_step_warnings(delta, config, d, m, dist_bound)
+    return PlanOutput(
+        delta=delta,
+        n_steps=_steps_from_bound(n_real),
+        epsilon=epsilon,
+        applicable=not notes,
+        warnings=notes,
+    )
 
-    notes: list[str] = []
-    contraction_ok = 2.0 * delta * gap < 1.0
-    if not contraction_ok:
-        notes.append("2*delta*(1-2*theta) >= 1: per-step contraction bound fails")
-    e_k = 36.0 * scale
-    delta_cap = (gap / (2.0 * kap)) * math.sqrt(
+
+def _oscillation_gap(theta: float) -> float:
+    if theta >= 0.5:
+        raise TheoremInapplicable(
+            f"theta = {theta:.3g} >= 1/2: no step-size guarantee exists"
+        )
+    return 1.0 - 2.0 * theta
+
+
+def scaled_step_warnings(
+    delta: float, config: ScalingConfig, d: int, m: float, dist_bound: float
+) -> list[str]:
+    """Why the scaled recipe's guarantee may fail at step ``delta``, one
+    note per failed check: the per-step contraction bound
+    2 delta (1-2 theta) < 1 and the stationary-energy step cap
+    delta <= (1-2 theta)/(2 kappa_hat) * sqrt(5 (8d/m + 4D^2)/(8 e_K))
+    with e_K = 36 (d/m + D^2). Raises ``TheoremInapplicable`` when
+    theta >= 1/2.
+    """
+    gap = _oscillation_gap(config.theta)
+    notes = []
+    if 2.0 * delta * gap >= 1.0:
+        notes.append(
+            f"delta = {delta:.3e} breaks the per-step contraction bound 2*delta*(1-2*theta) < 1"
+        )
+    e_k = 36.0 * (d / m + dist_bound**2)
+    delta_cap = (gap / (2.0 * config.kappa_hat)) * math.sqrt(
         5.0 * (8.0 * d / m + 4.0 * dist_bound**2) / (8.0 * e_k)
     )
     if delta > delta_cap:
-        notes.append(
-            f"delta = {delta:.3e} exceeds the stationary-energy cap {delta_cap:.3e}"
-        )
-    return PlanOutput(
-        delta=delta,
-        n_steps=n_steps,
-        epsilon=epsilon,
-        applicable=contraction_ok and delta <= delta_cap,
-        warnings=notes,
-    )
+        notes.append(f"delta = {delta:.3e} exceeds the stationary-energy cap {delta_cap:.3e}")
+    return notes
+
+
+def unscaled_step_warnings(delta: float) -> list[str]:
+    """Why the baseline's guarantee may fail at step ``delta``: the
+    per-step contraction bound 2 delta < 1."""
+    if 2.0 * delta < 1.0:
+        return []
+    return [f"delta = {delta:.3e} breaks the per-step contraction bound 2*delta < 1"]
 
 
 def plan_unscaled(
@@ -247,15 +268,11 @@ def plan_unscaled(
         raise InvalidInput("condition number must be at least 1")
     delta = (epsilon / (104.0 * kappa)) * math.sqrt(1.0 / scale)
     n_real = (52.0 * kappa**2 / epsilon) * math.sqrt(scale) * math.log(24.0 * scale / epsilon)
-    n_steps = _steps_from_bound(n_real)
-    notes: list[str] = []
-    contraction_ok = 2.0 * delta < 1.0
-    if not contraction_ok:
-        notes.append("2*delta >= 1: per-step contraction bound fails")
+    notes = unscaled_step_warnings(delta)
     return PlanOutput(
         delta=delta,
-        n_steps=n_steps,
+        n_steps=_steps_from_bound(n_real),
         epsilon=epsilon,
-        applicable=contraction_ok,
+        applicable=not notes,
         warnings=notes,
     )

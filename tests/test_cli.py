@@ -101,8 +101,8 @@ class TestSample:
         assert (out_dir / "samples_unscaled.csv").exists()
 
     def test_reports_the_warnings_compare_reports(self, tmp_path, capsys):
-        # at eps = 40 the planned delta, like the overridden 0.05, exceeds the
-        # stationary-energy cap 4.66e-2 of the scaled recipe on this target
+        # the overridden delta 0.05 exceeds the stationary-energy cap 4.66e-2 of
+        # the scaled recipe on this target at eps = 40
         config_path = tmp_path / "capped.cfg"
         text = CONFIG.replace("epsilons = 0.5", "epsilons = 40").replace("n_steps = 500", "n_steps = 200")
         config_path.write_text(text.replace("methods = scaled, unscaled", "methods = scaled"))
@@ -113,8 +113,9 @@ class TestSample:
             runs[command] = [line for line in capsys.readouterr().err.splitlines() if line]
         assert runs["sample"] == runs["compare"]
         assert len(runs["sample"]) == 1
-        assert runs["sample"][0].startswith("warning [scaled eps=40]: delta = ")
-        assert "exceeds the stationary-energy cap" in runs["sample"][0]
+        assert runs["sample"][0] == (
+            "warning [scaled eps=40]: delta = 5.000e-02 exceeds the stationary-energy cap 4.658e-02"
+        )
 
     def test_trace_writes_curve(self, config_path, tmp_path):
         out_dir = tmp_path / "out"

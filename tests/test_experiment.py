@@ -13,6 +13,7 @@ from slmc.experiment import (
     chain_seed,
     emit_csv,
     parse_config,
+    prepare_run,
     run_experiment,
     splitmix64,
 )
@@ -89,10 +90,13 @@ class TestRunExperiment:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        config = small_config(methods=("scaled", "unscaled"), epsilons=(0.5, 0.25), n_override=200)
+        config = small_config(
+            methods=("scaled", "unscaled"), epsilons=(0.5, 0.25), n_override=200, burn_in=100
+        )
         run_experiment(config)
         # P, the scaled A and I have ascending diagonals and skip eigh; P^-1 (descending)
-        # is decomposed once, plus one inner root per cell in gaussian_w2
+        # is decomposed once, plus the transport-map matrix of each cell's 200-point
+        # matching; gaussian_w2 needs only eigenvalues
         assert len(calls) == 1 + 4
 
     def test_velocity_ratio_near_one(self):
@@ -143,6 +147,32 @@ class TestRunExperiment:
 
         with pytest.raises(TheoremInapplicable):
             run_experiment(config)
+
+
+class TestOverrideWarnings:
+    """With delta/n_steps overrides the step checks judge the delta that runs.
+    At eps = 40 on P = diag(1, 4) the scaled plan's delta is 5.823e-2 and the
+    stationary-energy cap 4.658e-2; with D = 3 they are 2.483e-2 and 3.581e-2."""
+
+    @staticmethod
+    def _cell(delta, dist_bound=None):
+        config = small_config(epsilons=(40.0,), delta_override=delta, n_override=200, dist_bound=dist_bound)
+        return prepare_run(config).cell(config, "scaled", 40.0)
+
+    def test_override_above_the_cap(self):
+        delta, _, _, warnings = self._cell(0.05)
+        assert delta == 0.05
+        assert warnings == ["delta = 5.000e-02 exceeds the stationary-energy cap 4.658e-02"]
+
+    def test_override_below_the_cap_while_the_plan_is_above(self):
+        _, _, _, warnings = self._cell(0.04)
+        assert warnings == []
+
+    def test_override_above_the_cap_while_the_plan_is_below(self):
+        config = small_config(epsilons=(40.0,), delta_override=None, n_override=None, dist_bound=3.0)
+        assert prepare_run(config).cell(config, "scaled", 40.0)[3] == []
+        _, _, _, warnings = self._cell(0.05, dist_bound=3.0)
+        assert warnings == ["delta = 5.000e-02 exceeds the stationary-energy cap 3.581e-02"]
 
 
 class TestEmitCsv:

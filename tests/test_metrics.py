@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from helpers import random_spd
 from slmc import (
@@ -14,7 +16,9 @@ from slmc import (
     empirical_w2,
     gaussian_w2,
     moment_summary,
+    spd_sqrt,
 )
+from slmc.metrics import _transport_potentials
 
 
 def brute_force_w2(a: np.ndarray, b: np.ndarray) -> float:
@@ -71,6 +75,21 @@ class TestGaussianW2:
         assert ac <= ab + bc + 1e-8
 
 
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_diagonal_b_matches_the_dense_formula(self, d):
+        rng = np.random.default_rng(d)
+        a = GaussianSummary(mean=rng.standard_normal(d), cov=random_spd(rng, d))
+        b = GaussianSummary(mean=rng.standard_normal(d), cov=SymMatrix.diagonal(rng.uniform(0.1, 5.0, d)))
+        assert b.cov.eig.perm is not None
+        root_b = np.diag(np.sqrt(np.diagonal(b.cov.mat)))
+        inner = SymMatrix(root_b @ a.cov.mat @ root_b)
+        cross = np.trace(spd_sqrt(inner).mat)
+        expected = np.sqrt(
+            np.sum((a.mean - b.mean) ** 2) + np.trace(a.cov.mat) + np.trace(b.cov.mat) - 2.0 * cross
+        )
+        assert gaussian_w2(a, b) == pytest.approx(expected, rel=1e-12)
+
+
 class TestEmpiricalW2:
     def test_identical_clouds(self):
         cloud = SampleCloud.from_points(np.arange(12.0).reshape(6, 2))
@@ -120,6 +139,51 @@ class TestEmpiricalW2:
         )
         emp = empirical_w2(SampleCloud.from_points(a_pts), SampleCloud.from_points(b_pts))
         assert abs(emp - exact) / exact < 0.15
+
+    def test_warm_start_keeps_the_plain_matching(self):
+        rng = np.random.default_rng(2024)
+
+        def ar1(n, d):  # a chain-like cloud: strongly correlated consecutive points
+            z = np.empty((n, d))
+            z[0] = rng.standard_normal(d)
+            for i in range(1, n):
+                z[i] = 0.9 * z[i - 1] + np.sqrt(1 - 0.9**2) * rng.standard_normal(d)
+            return z
+
+        pairs = {
+            "iid": lambda n, d: (rng.standard_normal((n, d)), rng.standard_normal((n, d))),
+            "shifted-scaled": lambda n, d: (
+                3.0 + 2.0 * rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d),
+                rng.standard_normal((n, d)),
+            ),
+            "ar1": lambda n, d: (ar1(n, d), rng.standard_normal((n, d))),
+        }
+        cases = [(kind, n, d) for kind in pairs for d in (1, 2, 3, 10) for n in (2, 50, 300)]
+        cases += [("iid", 3, 10), ("iid", 10, 10), ("iid", 1, 1), ("iid", 1, 3)]
+        for kind, n, d in cases:
+            a, b = pairs[kind](n, d)
+            self._check(a, b, warm=n > d)
+        same, other = np.full((40, 2), 1.5), np.full((40, 2), -0.5)
+        self._check(same, same, warm=False)
+        self._check(same, other, warm=False)
+        # one coincident cloud: every matching is optimal, and the solves may
+        # sum the same distances in different orders
+        self._check(same, rng.standard_normal((40, 2)), warm=False, rel=1e-14)
+        self._check(rng.standard_normal((40, 2)), same, warm=False, rel=1e-14)
+
+    @staticmethod
+    def _check(a, b, warm, rel=0.0):
+        cost = cdist(a, b, metric="sqeuclidean")
+        rows, cols = linear_sum_assignment(cost)
+        plain = float(np.sqrt(cost[rows, cols].mean()))
+        found = empirical_w2(SampleCloud.from_points(a), SampleCloud.from_points(b))
+        assert found == plain if rel == 0.0 else found == pytest.approx(plain, rel=rel)
+        # rows are b's points: the reduced cost |T(x) - y|^2_{M^-1} is nonnegative
+        potentials = _transport_potentials(b, a)
+        assert (potentials is not None) == warm
+        if warm:
+            reduced = cost.T - potentials[0][:, None] - potentials[1]
+            assert reduced.min() >= -1e-9 * cost.max()
 
 
 class TestMomentSummary:

@@ -132,6 +132,21 @@ class TestApplyFn:
         with pytest.raises(InvalidInput):
             spd_apply_fn(SymMatrix(np.diag([4.0, 9.0])), lambda w: float(w[0]) ** 0.5)
 
+    @pytest.mark.parametrize(
+        "entries", [[3.0], [1.0, 4.0], [4.0, 1.0, 2.0], [2.0, -1.0, 0.0, 2.0], np.geomspace(100.0, 1.0, 512)]
+    )
+    def test_permutation_basis_stays_diagonal(self, entries):
+        m = SymMatrix.diagonal(entries)
+        assert m.eig.perm is not None
+        for fn in (np.sqrt, np.exp, lambda w: 1.0 / w):
+            if fn is not np.exp and min(entries) <= 0:
+                continue
+            out = spd_apply_fn(m, fn)
+            dense = (m.eig.vectors * fn(m.eig.values)) @ m.eig.vectors.T
+            assert np.array_equal(out.mat, dense)
+            assert np.array_equal(np.diagonal(out.mat), fn(np.asarray(entries, dtype=float)))
+            assert out.eig.perm is not None
+
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_inverse_roundtrip(self, seed):

@@ -83,6 +83,21 @@ class TestGaussian:
         t = make_gaussian(np.zeros(2), p)
         assert np.allclose(t.position_cov.mat @ p.mat, np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 16, 512])
+    def test_diagonal_position_cov_scales_the_draws(self, d):
+        t = make_gaussian(np.linspace(-1.0, 1.0, d), SymMatrix.diagonal(np.geomspace(1.0, 100.0, d)))
+        assert t.position_cov.eig.perm is not None
+        draws = sample_exact_positions(t, 7, np.random.default_rng(d))
+        chol = np.linalg.cholesky(t.position_cov.mat)
+        expected = t.minimizer + np.random.default_rng(d).standard_normal((7, d)) @ chol.T
+        assert np.array_equal(draws, expected)
+
+    def test_negative_diagonal_position_cov_raises(self):
+        t = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))
+        indefinite = replace(t, position_cov=SymMatrix(np.diag([-1.0, 2.0])))
+        with pytest.raises(NotPositiveDefinite):
+            sample_exact_positions(indefinite, 4, np.random.default_rng(0))
+
     def test_singular_position_cov_raises(self):
         # exact draws factor position_cov as it is, with no jitter
         t = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))

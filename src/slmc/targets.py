@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidInput, MinimizerNotFound, NotPositiveDefinite
 from .spd import SymMatrix, spd_apply_fn
@@ -170,6 +169,15 @@ def make_logistic_ridge(
     and deterministic, unlike numerical estimates of the extremal Hessian
     eigenvalues. The minimizer is located by damped Newton iteration to
     gradient norm <= 1e-10.
+
+    The oracles keep one copy of the design, the C-contiguous (d, rows)
+    array B = (y_i a_i)^T, so the margins of a point or a (C, d) batch
+    are z = x @ B. The gradient is ridge x - s @ B^T with
+    s = sigma(-z) = 1/(1 + exp(z)); exp overflows to inf above z ~ 709
+    and then gives s = 0 exactly, with the overflow warning silenced.
+    The Hessian is (B * w) @ B^T + ridge I with w = sigma(z) sigma(-z)
+    = e/(1 + e)^2, e = exp(-|z|) (as y_i^2 = 1), which cannot overflow;
+    f itself uses logaddexp.
     """
     a = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -189,24 +197,28 @@ def make_logistic_ridge(
     gram_top = float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1]) if n else 0.0
     m = float(ridge)
     big_l = float(ridge + 0.25 * gram_top)
-    ya = a * y[:, None]  # rows y_i a_i; margins are ya @ x
+    constant = not np.any(a)
+    ya_t = np.multiply(a.T, y, order="C")  # column i is y_i a_i
+    ridge_eye = ridge * np.eye(d)
 
     def value(x: np.ndarray) -> float:
-        z = ya @ x
+        z = x @ ya_t
         return float(np.logaddexp(0.0, -z).sum() + 0.5 * ridge * (x @ x))
 
     def grad(x: np.ndarray) -> np.ndarray:
-        z = x @ ya.T
-        return -expit(-z) @ ya + ridge * x
+        s = x @ ya_t
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)
+        return ridge * x - s @ ya_t.T
 
     def hess(x: np.ndarray) -> SymMatrix:
-        z = ya @ x
-        w = expit(z) * expit(-z)
-        return SymMatrix((a * w[:, None]).T @ a + ridge * np.eye(d))
+        e = np.exp(-np.abs(x @ ya_t))
+        w = e / np.square(1.0 + e)
+        return SymMatrix((ya_t * w) @ ya_t.T + ridge_eye)
 
     minimizer = _newton_minimize(value, grad, hess, d, max_newton_iter)
-
-    constant = not np.any(a)
     return TargetModel(
         dim=d,
         name=name or f"logistic-n{n}-d{d}",

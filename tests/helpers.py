@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from slmc import ScalingConfig, SymMatrix
+from slmc import ScalingConfig, SymMatrix, make_logistic_ridge
 
 
 def random_spd(rng, dim, lo=0.5, hi=10.0):
@@ -10,6 +10,18 @@ def random_spd(rng, dim, lo=0.5, hi=10.0):
     eigs = rng.uniform(lo, hi, size=dim)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     return SymMatrix((q * eigs) @ q.T)
+
+
+def random_logistic(seed, rows, d, ridge, scale=1.0):
+    """Logistic-ridge target on N(0, scale^2) features with random {-1, +1} labels.
+
+    ``seed`` is an int or a Generator; a Generator is advanced, so a test can
+    keep drawing from it afterwards.
+    """
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((rows, d)) * scale
+    labels = np.where(rng.standard_normal(rows) > 0, 1.0, -1.0)
+    return make_logistic_ridge(features, labels, ridge=ridge)
 
 
 def make_config(a: SymMatrix, u=1.0, gamma=1.0, theta=0.0):

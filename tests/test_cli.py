@@ -25,6 +25,29 @@ PINNED_RESULTS = (
     b"gaussian-d2,unscaled,4,4,0,0.5,0.05,500,1000,0.128386937,0.315967018,1.00800684,0\n"
 )
 
+LOGISTIC_CONFIG = """
+[target]
+kind = logistic
+dataset = {dataset}
+ridge = 1.0
+
+[run]
+methods = scaled, unscaled
+epsilons = 1
+chains = 2
+delta = 0.05
+n_steps = 500
+burn_in = 100
+"""
+
+#: ``results.csv`` of ``compare`` on LOGISTIC_CONFIG over the dataset that
+#: ``test_logistic_results_bytes_pinned`` writes, at the default seed.
+PINNED_LOGISTIC_RESULTS = (
+    b"target,method,kappa,kappa_hat,theta,epsilon,delta,n,grad_calls,w2_gauss,w2_empirical,vel_ratio,wall_ms\n"
+    b"logistic-n60-d3,scaled,15.5101528,1.4113752,1.21296405,1,0.05,500,1000,nan,nan,1.0758998,0\n"
+    b"logistic-n60-d3,unscaled,15.5101528,15.5101528,0,1,0.05,500,1000,nan,nan,1.10454624,0\n"
+)
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -147,6 +170,18 @@ class TestCompare:
         out_dir = tmp_path / "out"
         assert main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "results.csv").read_bytes() == PINNED_RESULTS
+
+    def test_logistic_results_bytes_pinned(self, tmp_path):
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((60, 3))
+        data = np.column_stack([features, np.where(rng.standard_normal(60) > 0, 1.0, -1.0)])
+        np.savetxt(tmp_path / "data.csv", data, delimiter=",", fmt="%.17g")
+        config_path = tmp_path / "logistic.cfg"
+        config_path.write_text(LOGISTIC_CONFIG.format(dataset=tmp_path / "data.csv"))
+        out_dir = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="theta = 1.21 exceeds 1/2"):
+            assert main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        assert (out_dir / "results.csv").read_bytes() == PINNED_LOGISTIC_RESULTS
 
 
 class TestValidateKernel:

@@ -94,10 +94,10 @@ class TestRunExperiment:
             methods=("scaled", "unscaled"), epsilons=(0.5, 0.25), n_override=200, burn_in=100
         )
         run_experiment(config)
-        # P, the scaled A and I have ascending diagonals and skip eigh; P^-1 (descending)
-        # is decomposed once, plus the transport-map matrix of each cell's 200-point
-        # matching; gaussian_w2 needs only eigenvalues
-        assert len(calls) == 1 + 4
+        # P, P^-1, the scaled A and I are diagonal and sorted without eigh; what is
+        # left is the transport-map matrix of each cell's 200-point matching, and
+        # gaussian_w2 needs only eigenvalues
+        assert len(calls) == 4
 
     def test_velocity_ratio_near_one(self):
         config = small_config(n_override=20000, delta_override=0.05, burn_in=2000)

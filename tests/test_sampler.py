@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ZeroRng, make_config, random_spd
+from helpers import ZeroRng, make_config, random_logistic, random_spd
 from slmc import (
     ChainState,
     InitSpec,
@@ -18,7 +18,6 @@ from slmc import (
     coupled_pair_run,
     kernel_moments,
     make_gaussian,
-    make_logistic_ridge,
     make_step_cache,
     run_chain,
     run_chains,
@@ -485,9 +484,7 @@ class TestRunChains:
 
     def test_logistic_target(self):
         rng = np.random.default_rng(44)
-        features = rng.standard_normal((40, 3))
-        labels = np.where(rng.standard_normal(40) > 0, 1.0, -1.0)
-        target = make_logistic_ridge(features, labels, ridge=0.5)
+        target = random_logistic(rng, rows=40, d=3, ridge=0.5)
         config = make_config(random_spd(rng, 3, lo=0.2, hi=2.0), u=1.0 / target.L)
         init = InitSpec.from_point(target)
         self.check_matches_separate_chains(init, target, config, exact=False, burn_in=10, thin=2)

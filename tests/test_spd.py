@@ -74,6 +74,32 @@ class TestSymEig:
         for array in (pair.values, pair.vectors, pair.perm):
             assert not array.flags.writeable
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            1.0 / np.geomspace(1.0, 100.0, 512),
+            [3.0, 1.0, 2.0, 1.0, 5.0],
+            [5.0, 5.0, 3.0, 3.0, 1.0, 1.0],
+            np.random.default_rng(10).standard_normal(300),
+            np.random.default_rng(11).permutation(np.geomspace(1.0, 100.0, 512)),
+        ],
+        ids=["descending", "ties", "descending-ties", "random", "shuffled"],
+    )
+    def test_any_diagonal_matches_eigh_without_calling_it(self, entries, monkeypatch):
+        mat = np.diag(np.asarray(entries, dtype=float))
+        values, vectors = np.linalg.eigh(mat)
+
+        def no_eigh(*_args, **_kwargs):
+            raise AssertionError("eigh called on a diagonal")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        pair = SymMatrix(mat).eig
+        assert np.array_equal(pair.values, values)
+        assert np.array_equal(pair.vectors, vectors)
+        assert np.array_equal(pair.vectors, np.eye(mat.shape[0])[:, pair.perm])
+        for array in (pair.values, pair.vectors, pair.perm):
+            assert not array.flags.writeable
+
     def test_unsorted_diagonal_records_its_permutation(self):
         pair = SymMatrix.diagonal([4.0, 1.0, 2.0]).eig
         assert np.array_equal(pair.values, [1.0, 2.0, 4.0])
@@ -89,8 +115,13 @@ class TestSymEig:
             values, vectors = eigh(a)
             return values, -vectors
 
+        # eigh's vectors are taken as they come, signs included, and never read
+        # as a permutation; a diagonal is sorted and does not consult eigh
         monkeypatch.setattr(np.linalg, "eigh", signed_eigh)
-        assert SymMatrix.diagonal([4.0, 1.0, 2.0]).eig.perm is None
+        dense = random_spd(np.random.default_rng(6), 3)
+        assert dense.eig.perm is None
+        assert np.array_equal(dense.eig.vectors, -eigh(dense.mat)[1])
+        assert np.array_equal(SymMatrix.diagonal([4.0, 1.0, 2.0]).eig.perm, [1, 2, 0])
 
     def test_identity(self):
         pair = SymMatrix(np.eye(3)).eig

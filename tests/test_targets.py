@@ -1,8 +1,11 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from helpers import random_logistic
 from slmc import (
     InitSpec,
     InvalidInput,
@@ -20,10 +23,7 @@ from slmc import (
 
 @pytest.fixture
 def logistic_target():
-    rng = np.random.default_rng(42)
-    features = rng.standard_normal((20, 3))
-    labels = np.where(rng.standard_normal(20) > 0, 1.0, -1.0)
-    return make_logistic_ridge(features, labels, ridge=0.5)
+    return random_logistic(42, rows=20, d=3, ridge=0.5)
 
 
 class TestGaussian:
@@ -127,6 +127,39 @@ class TestLogisticRidge:
     def test_minimizer_gradient_small(self, logistic_target):
         g = logistic_target.grad_oracle(logistic_target.minimizer)
         assert np.linalg.norm(g) <= 1e-10
+
+    def test_extreme_margins_stay_exact(self):
+        # margins past +-750 overflow exp(z) to inf and underflow exp(-|z|) to 0;
+        # neither may warn, and the results must match expit-based sums, as they
+        # must at ordinary margins (the first point)
+        rng = np.random.default_rng(12)
+        features = rng.standard_normal((40, 3))
+        labels = np.where(rng.standard_normal(40) > 0, 1.0, -1.0)
+        ridge = 0.5
+        ya = features * labels[:, None]
+        direction = rng.standard_normal(3)
+        points = [direction * (r / np.abs(ya @ direction).max()) for r in (1.0, 1000.0, 1e4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = make_logistic_ridge(features, labels, ridge=ridge)
+            batch = t.grad_oracle(np.array(points))
+            for i, x in enumerate(points):
+                z = ya @ x
+                assert i == 0 or (z.max() > 750.0 and z.min() < -750.0)
+                g, h = t.grad_oracle(x), t.hess_oracle(x).mat
+                assert np.isfinite(g).all() and np.isfinite(h).all()
+                reference = ridge * x - expit(-z) @ ya
+                np.testing.assert_allclose(g, reference, rtol=1e-13)
+                np.testing.assert_allclose(batch[i], reference, rtol=1e-13)
+                w = expit(z) * expit(-z)
+                np.testing.assert_allclose(
+                    h, (ya * w[:, None]).T @ ya + ridge * np.eye(3), rtol=1e-12
+                )
+            # one row: sigma(-z) is exactly 0 at z = 800 and exactly 1 at z = -800
+            one = make_logistic_ridge(np.array([[1.0, 0.0]]), np.array([1.0]), ridge=ridge)
+            for x, sigma in ((np.array([800.0, 0.0]), 0.0), (np.array([-800.0, 0.0]), 1.0)):
+                assert np.array_equal(one.grad_oracle(x), ridge * x - sigma * np.array([1.0, 0.0]))
+                assert np.array_equal(one.hess_oracle(x).mat, ridge * np.eye(2))
 
     def test_newton_budget_exhaustion(self):
         rng = np.random.default_rng(0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_config
+from helpers import make_config, random_logistic
 from slmc import (
     InvalidInput,
     SymMatrix,
@@ -22,10 +22,7 @@ from slmc import (
 
 @pytest.fixture
 def logistic_target():
-    rng = np.random.default_rng(21)
-    features = rng.standard_normal((25, 3)) * 1.5
-    labels = np.where(rng.standard_normal(25) > 0, 1.0, -1.0)
-    return make_logistic_ridge(features, labels, ridge=0.3)
+    return random_logistic(21, rows=25, d=3, ridge=0.3, scale=1.5)
 
 
 def brute_force_theta(target, candidates, probes):

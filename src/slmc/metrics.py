@@ -8,12 +8,18 @@ deterministic and testable against permutation brute force, at the
 price of a cloud-size cap.
 
 The matching is warm-started. The solver (a shortest-augmenting-path
-method) runs far faster from good dual potentials than from zero, and
-the Gaussian transport map between the two clouds' own means and
-covariances gives good ones. Subtracting a potential from every row and
+method) runs far faster on a cost matrix reduced by good dual
+potentials than on the raw squared distances. For any SPD transport
+matrix M, |x_i - y_j|^2 differs from a_i + b_j - 2 x~_i . y~_j only by
+terms separable in i and j, where x~ and y~ are the clouds centred on
+their own means, a_i = x~_i^T M x~_i and b_j = y~_j^T M^-1 y~_j. That
+form is one GEMM plus two broadcast adds, nonnegative, and zero where
+y~ = M x~. M is the Gaussian transport map between the clouds' moments
+when the sample fixes a full covariance (n > d(d+1)/2), and a
+per-coordinate scaling otherwise. Subtracting a term from every row and
 every column shifts every perfect matching's total by the same amount,
-so the optimal matching is unchanged; the matched distances are then
-recomputed from the points, so the result is the plain problem's.
+so the optimal matching is the plain problem's; the matched distances
+are then recomputed from the points.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .spd import SymMatrix, spd_sqrt
 
 MAX_CLOUD = 4096
 _PSD_TOL = 1e-10
-#: Below this relative conditioning the potentials fall back to zero.
+#: Below this relative conditioning the Gaussian map gives way to the per-coordinate one.
 _WARM_RTOL = 1e-10
 #: Rows per block when matched distances are recomputed.
 _BLOCK = 32
@@ -110,12 +116,12 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
 
     The solver's rows are ``b``'s points and its columns ``a``'s (the
     faster way round when ``a`` is a chain's cloud and ``b`` independent
-    draws). Its cost matrix is reduced in place by the potentials of
-    :func:`_transport_potentials`, which leave the optimal matching as
-    it is; where they do not exist the plain cost matrix is solved. The
-    matched squared distances are recomputed with the cost matrix's own
-    arithmetic and averaged in ``a``'s order, so when the optimal
-    matching is unique the result is bit for bit the plain solve's.
+    draws), and its cost matrix is :func:`_reduced_cost`, which has the
+    plain problem's optimal matchings. The matched squared distances are
+    recomputed with ``cdist`` and averaged in ``a``'s order, so the
+    result is the plain solve's bit for bit unless two matchings' totals
+    differ by less than the rounding of the reduced costs (then either
+    is optimal to that rounding).
     """
     if a.count != b.count:
         raise InvalidInput(f"cloud sizes differ: {a.count} vs {b.count}")
@@ -123,12 +129,7 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
         raise InvalidInput(f"cloud size {a.count} exceeds the cap {MAX_CLOUD}")
     if a.points.shape[1] != b.points.shape[1]:
         raise InvalidInput("clouds have different dimensions")
-    potentials = _transport_potentials(b.points, a.points)
-    cost = cdist(b.points, a.points, metric="sqeuclidean")
-    if potentials is not None:
-        cost -= potentials[0][:, None]
-        cost -= potentials[1]
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(_reduced_cost(b.points, a.points))
     match = np.empty_like(rows)
     match[cols] = rows  # a's point i is matched to b's point match[i]
     blocks = (slice(i, i + _BLOCK) for i in range(0, a.count, _BLOCK))
@@ -138,49 +139,48 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
     return float(np.sqrt(np.concatenate(squared).mean()))
 
 
-def _transport_potentials(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Row and column potentials u(x_i), v(y_j) for the cost |x_i - y_j|^2.
+def _reduced_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The n x n cost a_i + b_j - 2 x~_i . y~_j of the module docstring.
 
-    With means m_x, m_y and covariances S_x, S_y of the two clouds, the
-    Gaussian transport map is T(x) = m_y + M (x - m_x), where
-    M = R^{-T} W diag(sqrt(lam)) W^T R^{-1} for S_x = R R^T (Cholesky)
-    and R^T S_y R = W diag(lam) W^T. The potentials are chosen so that
-    |x - y|^2 - u(x) - v(y) = |T(x) - y|^2 in the metric M^{-1}, which
-    is nonnegative and vanishes on the map's graph. None (zero
-    potentials) when S_x or R^T S_y R is singular or ill-conditioned,
-    which includes count <= d and coincident points, or when a
-    potential is not finite.
+    M is the Gaussian map M = R^-T W diag(sqrt(lam)) W^T R^-1, for
+    S_x = R R^T (Cholesky) and R^T S_y R = W diag(lam) W^T, when
+    n > d(d+1)/2 (the free entries of a covariance) and no pivot or lam
+    is below :data:`_WARM_RTOL` of its largest. Otherwise it is
+    diag(sd_y / sd_x) from column variances (scale 1 where either is
+    zero), with no decomposition; as that map is far from tight, the
+    column and then the row minima are also subtracted (a third off the
+    solver at n = 600, d = 512). Entries are nonnegative up to rounding,
+    about eps times the largest |x~|^2 + |y~|^2.
     """
     n, d = x.shape
-    if n <= d:
-        return None
-    mean_x, mean_y = x.mean(axis=0), y.mean(axis=0)
-    shift = mean_x - mean_y
-    with np.errstate(all="ignore"):
-        r = x - mean_x
-        u = np.einsum("ij,ij->i", r, r) + 2.0 * (r @ shift) + shift @ shift
+    xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+    gaussian = False
+    if n > d * (d + 1) // 2:
         try:
-            chol = np.linalg.cholesky(r.T @ r / n)
-            # r R^{-T}, written over r
-            white_x = solve_triangular(chol, r.T, lower=True, overwrite_b=True).T
-            s = y - mean_y
-            v = np.einsum("ij,ij->i", s, s) - 2.0 * (s @ shift)
-            s = s @ chol
+            chol = np.linalg.cholesky(xc.T @ xc / n)
+            s = yc @ chol
             pair = SymMatrix(s.T @ s / n).eig
+            pivots, lam = np.diagonal(chol) ** 2, pair.values
+            gaussian = pivots.min() > _WARM_RTOL * pivots.max() and lam[0] > _WARM_RTOL * lam[-1]
         except (np.linalg.LinAlgError, InvalidInput):
-            return None
-        pivots, lam = np.diagonal(chol) ** 2, pair.values
-        if not (pivots.min() > _WARM_RTOL * pivots.max() and lam[0] > _WARM_RTOL * lam[-1]):
-            return None
+            pass  # singular moments: the per-coordinate map
+    if gaussian:
         root = np.sqrt(lam)
+        white = solve_triangular(chol, xc.T, lower=True).T @ pair.vectors  # x~ R^-T W
         s = s @ pair.vectors
-        v -= np.square(s, out=s) @ (1.0 / root)
-        del s
-        white_x = white_x @ pair.vectors
-        u -= np.square(white_x, out=white_x) @ root
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        return None
-    return u, v
+        weights = np.square(white, out=white) @ root, np.square(s, out=s) @ (1.0 / root)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scale = np.sqrt(np.square(yc).sum(axis=0) / np.square(xc).sum(axis=0))
+        scale[~(np.isfinite(scale) & (scale > 0.0))] = 1.0
+        weights = np.square(xc) @ scale, np.square(yc) @ (1.0 / scale)
+    cost = (-2.0 * xc) @ yc.T
+    cost += weights[0][:, None]
+    cost += weights[1]
+    if not gaussian:
+        cost -= cost.min(axis=0)
+        cost -= cost.min(axis=1)[:, None]
+    return cost
 
 
 def moment_summary(cloud: SampleCloud) -> GaussianSummary:

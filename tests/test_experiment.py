@@ -17,6 +17,7 @@ from slmc.experiment import (
     run_experiment,
     splitmix64,
 )
+from slmc.sampler import make_step_cache
 
 GAUSS_SPEC = TargetSpecification(kind="gaussian", precision_diag=(1.0, 4.0))
 
@@ -147,6 +148,29 @@ class TestRunExperiment:
 
         with pytest.raises(TheoremInapplicable):
             run_experiment(config)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.filterwarnings("ignore:theta = .* exceeds 1/2:RuntimeWarning")
+def test_logistic_setup_never_raises(seed, tmp_path):
+    # 2000 x 20 logistic datasets drawn as the benchmark's logistic workload
+    # draws them: features N(0, 1/d), labels sign(a.w + N(0, 0.25))
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((2000, 20)) / np.sqrt(20)
+    margin = features @ rng.standard_normal(20) + 0.5 * rng.standard_normal(2000)
+    path = tmp_path / "logistic.csv"
+    data = np.column_stack([features, np.where(margin >= 0.0, 1.0, -1.0)])
+    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+    spec = TargetSpecification(kind="logistic", dataset=str(path), ridge=1.0)
+    config = small_config(
+        target=spec, methods=("scaled", "unscaled"), epsilons=(1.0,), seed=seed,
+        delta_override=0.05, n_override=10_000, burn_in=None,
+    )
+    setup = prepare_run(config)
+    for method in config.methods:
+        delta, n_steps, burn_in, _ = setup.cell(config, method, 1.0)
+        assert (delta, n_steps, burn_in) == (0.05, 10_000, 5_000)
+        make_step_cache(setup.chain_config(method), delta)
 
 
 class TestOverrideWarnings:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from slmc import (
     moment_summary,
     spd_sqrt,
 )
-from slmc.metrics import _transport_potentials
+from slmc.metrics import _reduced_cost
 
 
 def brute_force_w2(a: np.ndarray, b: np.ndarray) -> float:
@@ -160,30 +161,64 @@ class TestEmpiricalW2:
         }
         cases = [(kind, n, d) for kind in pairs for d in (1, 2, 3, 10) for n in (2, 50, 300)]
         cases += [("iid", 3, 10), ("iid", 10, 10), ("iid", 1, 1), ("iid", 1, 3)]
+        # the per-coordinate map with n > d; d = 3 and 10 at n = 300 take the full map
+        cases += [(kind, 300, 40) for kind in pairs]
         for kind, n, d in cases:
-            a, b = pairs[kind](n, d)
-            self._check(a, b, warm=n > d)
+            self._check(*pairs[kind](n, d))
         same, other = np.full((40, 2), 1.5), np.full((40, 2), -0.5)
-        self._check(same, same, warm=False)
-        self._check(same, other, warm=False)
+        self._check(same, same)
+        self._check(same, other)
         # one coincident cloud: every matching is optimal, and the solves may
         # sum the same distances in different orders
-        self._check(same, rng.standard_normal((40, 2)), warm=False, rel=1e-14)
-        self._check(rng.standard_normal((40, 2)), same, warm=False, rel=1e-14)
+        self._check(same, rng.standard_normal((40, 2)), rel=1e-14)
+        self._check(rng.standard_normal((40, 2)), same, rel=1e-14)
+        for d in (3, 40):  # one constant coordinate, in either cloud
+            a, b = rng.standard_normal((300, d)), rng.standard_normal((300, d))
+            a[:, 1] = 0.7
+            self._check(a, b)
+            self._check(b, a)
 
     @staticmethod
-    def _check(a, b, warm, rel=0.0):
+    def _check(a, b, rel=0.0):
         cost = cdist(a, b, metric="sqeuclidean")
         rows, cols = linear_sum_assignment(cost)
         plain = float(np.sqrt(cost[rows, cols].mean()))
         found = empirical_w2(SampleCloud.from_points(a), SampleCloud.from_points(b))
         assert found == plain if rel == 0.0 else found == pytest.approx(plain, rel=rel)
-        # rows are b's points: the reduced cost |T(x) - y|^2_{M^-1} is nonnegative
-        potentials = _transport_potentials(b, a)
-        assert (potentials is not None) == warm
-        if warm:
-            reduced = cost.T - potentials[0][:, None] - potentials[1]
-            assert reduced.min() >= -1e-9 * cost.max()
+        # rows are b's points: the reduced cost is the plain one shifted by a
+        # row term plus a column term, and nonnegative
+        reduced = _reduced_cost(b, a)
+        shift = reduced - cost.T
+        double = shift - shift[:, :1] - shift[:1, :] + shift[0, 0]
+        assert np.abs(double).max() <= 1e-9 * cost.max()
+        assert reduced.min() >= -1e-9 * cost.max()
+
+    def test_small_sample_needs_no_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposition on the per-coordinate path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        rng = np.random.default_rng(31)
+        # n = 120 <= d(d + 1)/2 = 2080
+        a = rng.standard_normal((120, 64)) * rng.uniform(0.5, 2.0, 64)
+        self._check(a, rng.standard_normal((120, 64)))
+
+    def test_degenerate_clouds_raise_no_warnings(self):
+        rng = np.random.default_rng(8)
+        flat = rng.standard_normal((50, 2))
+        flat[:, 0] = -3.25
+        cases = [
+            (np.array([[0.5, 1.0]]), np.array([[-2.0, 4.0]])),  # n = 1
+            (np.full((40, 2), 1.5), np.full((40, 2), 1.5)),  # coincident clouds
+            (np.full((40, 2), 1.5), np.full((40, 2), -0.5)),
+            (flat, rng.standard_normal((50, 2))),  # a zero-variance coordinate
+            (rng.standard_normal((50, 2)), flat),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in cases:
+                self._check(a, b)
 
 
 class TestMomentSummary:

@@ -203,7 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = with_config(sub.add_parser("compare", help="full experiment matrix to CSV"))
     p_compare.add_argument(
-        "--timing", action="store_true", help="record wall time (breaks byte-stability)"
+        "--timing",
+        action="store_true",
+        help="record wall time (breaks byte-stability): a cell's own evaluation time plus "
+        "its share of chain steps (n x chains over the run's total) of the one batch that "
+        "runs every cell's chains",
     )
 
     p_validate = sub.add_parser("validate-kernel", help="moment-oracle validation suite")

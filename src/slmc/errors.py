@@ -26,13 +26,17 @@ class TheoremInapplicable(SamplingError):
 
 
 class NumericalBlowup(SamplingError):
-    """A trajectory left the numerically trustworthy region."""
+    """A trajectory left the numerically trustworthy region, at ``step_index``
+    of the batch cell labelled ``cell`` when those are known."""
 
-    def __init__(self, message: str, step_index: int | None = None):
+    def __init__(self, message: str, step_index: int | None = None, cell: str | None = None):
+        if cell is not None:
+            message = f"{message} in cell {cell!r}"
         if step_index is not None:
             message = f"{message} (step {step_index})"
         super().__init__(message)
         self.step_index = step_index
+        self.cell = cell
 
 
 class ConfigError(SamplingError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput, TheoremInapplicable
 from .metrics import GaussianSummary, SampleCloud, empirical_w2, gaussian_w2, moment_summary
-from .sampler import run_chain, run_chains
+from .sampler import Cell, run_cells, run_chain
 from .spd import SymMatrix
 from .targets import InitSpec, TargetModel, load_logistic_csv, make_gaussian, make_logistic_ridge, sample_exact_positions
 from .tuner import (
@@ -374,34 +374,48 @@ def prepare_run(config: ExperimentConfig, methods: tuple[str, ...] | None = None
 def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> list[ResultRow]:
     """Run every (method, epsilon) cell and collect result rows.
 
-    Deterministic given the config seed. ``wall_ms`` stays zero unless
-    ``record_timing`` is set, keeping the default output byte-stable
-    across reruns.
+    Every cell is planned first, so an inapplicable plan raises before any
+    chain runs. The chains of all cells then run as one batch
+    (:func:`run_cells`), and each cell is evaluated in turn. Deterministic
+    given the config seed. ``wall_ms`` stays zero unless ``record_timing``
+    is set, keeping the default output byte-stable across reruns; when set,
+    a cell's ``wall_ms`` is its own evaluation time plus the batch's wall
+    time times the cell's share of chain steps (n x chains over the run's
+    total).
     """
     setup = prepare_run(config)
     target, init = setup.target, setup.init
     summary = target_summary(target) if target.position_cov is not None else None
 
-    rows = []
     cells = list(product(config.methods, config.epsilons))
-    for cell_index, (method, epsilon) in enumerate(cells):
-        start = time.monotonic()
-        chain_config = setup.chain_config(method)
-        delta, n_steps, burn_in, warnings = setup.cell(config, method, epsilon)
-
-        rngs = [
+    plans = [setup.cell(config, method, epsilon) for method, epsilon in cells]
+    specs = []
+    for cell_index, ((method, epsilon), (delta, n_steps, burn_in, _)) in enumerate(zip(cells, plans)):
+        rngs = tuple(
             np.random.default_rng(chain_seed(config.seed, cell_index, chain_index))
             for chain_index in range(config.chains)
-        ]
-        runs = run_chains(
-            init, target, chain_config, delta, n_steps, rngs, thin=config.thin, burn_in=burn_in
         )
+        label = f"{method} eps={epsilon:g}"
+        chain_config = setup.chain_config(method)
+        specs.append(Cell(init, chain_config, delta, n_steps, rngs, config.thin, burn_in, label=label))
+    start = time.monotonic()
+    runs = run_cells(target, specs)
+    batch_ms = (time.monotonic() - start) * 1e3
+    d = target.dim
+    vel_ratios = [
+        float((run.vs.reshape(-1, d) ** 2).sum(axis=1).mean() / (spec.config.u * d))
+        for run, spec in zip(runs, specs)
+    ]
+    positions = [run.xs for run in runs]
+    del runs  # free the velocities before the W2 evaluation
+    total_steps = sum(spec.n_steps * len(spec.rngs) for spec in specs)
 
-        pooled_x = np.vstack([run.xs for run in runs])
-        pooled_v = np.vstack([run.vs for run in runs])
-        vel_ratio = float((pooled_v**2).sum(axis=1).mean() / (chain_config.u * target.dim))
-        del runs, pooled_v  # free the chains before the W2 evaluation
-
+    rows = []
+    for cell_index, ((method, epsilon), (delta, n_steps, _, warnings)) in enumerate(zip(cells, plans)):
+        start = time.monotonic()
+        chain_config = setup.chain_config(method)
+        pooled_x = positions[cell_index].reshape(-1, d)
+        positions[cell_index] = None  # freed once this cell's W2 is done
         if summary is not None:
             w2_gauss = gaussian_w2(moment_summary(SampleCloud.from_points(pooled_x)), summary)
             sub = _even_subsample(pooled_x, EMPIRICAL_W2_CAP)
@@ -416,7 +430,8 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
             w2_gauss = float("nan")
             w2_emp = float("nan")
 
-        wall_ms = (time.monotonic() - start) * 1e3 if record_timing else 0.0
+        share = n_steps * config.chains / total_steps
+        wall_ms = (time.monotonic() - start) * 1e3 + batch_ms * share if record_timing else 0.0
         rows.append(
             ResultRow(
                 target=target.name,
@@ -430,7 +445,7 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
                 grad_calls=n_steps * config.chains,
                 w2_gauss=w2_gauss,
                 w2_empirical=w2_emp,
-                vel_ratio=vel_ratio,
+                vel_ratio=vel_ratios[cell_index],
                 wall_ms=wall_ms,
                 warnings=tuple(warnings),
             )

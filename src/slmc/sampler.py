@@ -18,25 +18,35 @@ s = gamma a d (writing d for delta) each pair moves as
 
 The covariance does not depend on the state, and the cross term is
 structurally nonzero, so each pair is drawn jointly through its closed-form
-lower 2x2 Cholesky factor. A step therefore costs two changes of basis
-(the gradient in, the new state out) plus length-d arithmetic. Each is a
-product with V for a dense A, and an O(d) indexing for a diagonal A
-(the unscaled A = I included), whose V is a permutation.
+lower 2x2 Cholesky factor. For a dense A a step costs two products with V
+(the gradient in, the new state out) plus length-d arithmetic. For a
+diagonal A (the unscaled A = I included) V is a permutation, and the chain
+steps in the original coordinates instead: its per-mode coefficients are
+permuted when the batch lays out its rows (at the start and at each cell's
+end), and its noise once per block; no step indexes by the permutation.
 
-All chains of a run move as one batch: one step cache, one (C, 2, d)
-array of (y; w) rows, and per step one ``grad_oracle`` call on the (C, d)
-positions, one update and one guard check. ``step``, ``run_chain`` and
-``coupled_pair_run`` are batches of one, one and two chains. Chain c
-draws its noise from its own generator in blocks of K steps; a (K, 2, d)
-draw is the same stream as K (2, d) draws, and K keeps a block of the
-batch within NOISE_BLOCK_DOUBLES. A chain's states depend on neither C
-nor K.
+All chains of all cells of a run move as one batch of (R, 2, d) rows, R
+being the cells' chains together, and each row carries its cell's step
+coefficients. Each step makes one ``grad_oracle`` call on the positions of
+every row still running, one update and one guard check. Rows of dense-A
+cells come first and keep eigen-coordinates; the cells of one batch share
+that V, and each step multiplies their contiguous row slice by it once in
+each direction. Dense cells are ordered by ascending n and the others by
+descending n, so the rows still running are always one contiguous range,
+and a cell's rows leave it after its last step. ``run_chains``,
+``run_chain``, ``step`` and ``coupled_pair_run`` are batches of one cell.
+Each chain draws its noise from its own generator in blocks of K steps; a
+(K, 2, d) draw is the same stream as K (2, d) draws, K keeps a block within
+NOISE_BLOCK_DOUBLES, and blocks are cut at every cell's end. A chain's
+states therefore depend neither on K nor on the other rows of its batch,
+except through the gradient oracle's arithmetic on a batch of rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,16 +163,6 @@ class StepCache:
     factor: np.ndarray
 
 
-def _to_eigen(cache: StepCache, z: np.ndarray) -> np.ndarray:
-    """z V: coordinates (..., d) into the eigenbasis of A."""
-    return z @ cache.vectors if cache.perm is None else z.take(cache.perm, axis=-1)
-
-
-def _from_eigen(cache: StepCache, z: np.ndarray) -> np.ndarray:
-    """z V^T: eigen-coordinates (..., d) back to the original basis."""
-    return z @ cache.vectors.T if cache.perm is None else z.take(cache.unperm, axis=-1)
-
-
 def _mean(mean_w, mean_g, ns: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Step mean of the eigen-coordinate rows ``ns`` = (..., 2, d) = (y; w)
     under eigen-coordinate gradients h = g V of shape (..., d)."""
@@ -244,30 +244,90 @@ def _checked_cache(inits, target: TargetModel, config: ScalingConfig, delta: flo
     return cache
 
 
-def _step_noise(cache: StepCache, rngs, n_steps: int):
-    """Yield each step's correlated (y; w) noise, (len(rngs), 2, d), row c
-    drawn from ``rngs[c]`` in blocks of K steps (see the module docstring)."""
-    block = max(1, min(n_steps, NOISE_BLOCK_DOUBLES // (len(rngs) * 2 * cache.dim)))
-    raw = np.empty((len(rngs), block, 2, cache.dim))
+class _Rows(NamedTuple):
+    """Per-row step coefficients of a batch: ``mean_w``, ``mean_g`` (R, 2, d) and
+    ``factor`` (R, 2, 2, d) as in ``StepCache`` (R is 1 when one cache serves
+    every row), and the label of each row's cell. The first ``dense`` rows step
+    in the eigenbasis ``vectors``. The others step in the original coordinates:
+    for each (lo, hi, unperm) of ``perms``, rows lo..hi-1 have ``mean_w`` and
+    ``mean_g`` permuted by unperm, and so their noise."""
+
+    mean_w: np.ndarray
+    mean_g: np.ndarray
+    factor: np.ndarray
+    perms: tuple
+    vectors: np.ndarray | None
+    dense: int
+    labels: tuple
+
+
+def _batch_rows(parts) -> _Rows:
+    """The rows of ``parts``, (cache, rows, label) triples with every dense cache first."""
+    caches, counts = [cache for cache, _, _ in parts], [n for _, n, _ in parts]
+    bases = [cache.vectors for cache in caches if cache.perm is None]
+    if any(not np.array_equal(basis, bases[0]) for basis in bases[1:]):
+        raise InvalidInput("the dense-A cells of one batch must share the eigenvectors of A")
+    firsts = [sum(counts[:i]) for i in range(len(counts))]
+
+    def stack(field, permute=True):
+        arrays = [getattr(cache, field) for cache in caches]
+        if permute:
+            arrays = [a if c.perm is None else a.take(c.unperm, axis=-1) for a, c in zip(arrays, caches)]
+        return arrays[0][None] if len(arrays) == 1 else np.repeat(np.stack(arrays), counts, axis=0)
+
+    return _Rows(
+        stack("mean_w"),
+        stack("mean_g"),
+        stack("factor", permute=False),
+        tuple((a, a + n, c.unperm) for c, a, n in zip(caches, firsts, counts) if c.perm is not None),
+        bases[0] if bases else None,
+        sum(n for c, n in zip(caches, counts) if c.perm is None),
+        tuple(label for _, n, label in parts for _ in range(n)),
+    )
+
+
+def _rotate(z: np.ndarray, rows: _Rows, back: bool = False) -> np.ndarray:
+    """Rows z (R, ..., d) with the first ``rows.dense`` taken into the eigenbasis
+    (z V), or with ``back`` out of it (z V^T); one product on that contiguous slice."""
+    k = rows.dense
+    if k == 0:
+        return z
+    head = z[:k] @ (rows.vectors.T if back else rows.vectors)
+    return head if k == len(z) else np.concatenate((head, z[k:]))
+
+
+def _noise_blocks(rows: _Rows, rngs, n_steps: int):
+    """Yield the correlated (y; w) noise of n_steps steps in blocks (len(rngs), K, 2, d)
+    in each row's own coordinates, row r drawn from ``rngs[r]`` (see the module docstring)."""
+    r, d = len(rngs), rows.factor.shape[-1]
+    block = max(1, min(n_steps, NOISE_BLOCK_DOUBLES // (r * 2 * d)))
+    raw = np.empty((r, block, 2, d))
+    factor = rows.factor[:r, None]
     for start in range(0, n_steps, block):
         k = min(block, n_steps - start)
         for z, rng in zip(raw, rngs):
             rng.standard_normal(out=z[:k])
-        yield from (cache.factor * raw[:, :k, None]).sum(axis=-2).swapaxes(0, 1)
+        noise = (factor * raw[:, :k, None]).sum(axis=-2)
+        for lo, hi, unperm in rows.perms:
+            noise[lo:hi] = noise[lo:hi].take(unperm, axis=-1)
+        yield noise
 
 
-def _advance(cache: StepCache, ns: np.ndarray, g: np.ndarray, noise: np.ndarray, step_index=None):
-    """One step of a batch from (y; w) rows ns (C, 2, d), gradients g (C, d) and
-    noise (C or 1, 2, d); returns the new (y; w) and (x; v) rows. A coordinate
-    beyond BLOWUP_GUARD, or a non-finite one (as a non-finite gradient always
-    gives), raises ``NumericalBlowup`` at ``step_index``."""
-    out = _mean(cache.mean_w, cache.mean_g, ns, _to_eigen(cache, g))
+def _advance(rows: _Rows, ns: np.ndarray, g: np.ndarray, noise: np.ndarray, step_index=None):
+    """One step of a batch from its working rows ns (R, 2, d), gradients g (R, d) and
+    noise (R or 1, 2, d); returns the new working rows and (x; v) rows. A coordinate
+    beyond BLOWUP_GUARD, or a non-finite one (as a non-finite gradient always gives),
+    raises ``NumericalBlowup`` naming ``step_index`` and the first such row's cell."""
+    out = _mean(rows.mean_w, rows.mean_g, ns, _rotate(g, rows))
     out += noise
-    xv = _from_eigen(cache, out)
+    xv = _rotate(out, rows, back=True)
     if not np.abs(xv).max() < BLOWUP_GUARD:
-        if np.isfinite(g).all():
-            raise NumericalBlowup("chain coordinate left the guarded region", step_index)
-        raise NumericalBlowup("gradient oracle returned non-finite values", step_index)
+        bad = int(np.argmin((np.abs(xv) < BLOWUP_GUARD).all(axis=(1, 2))))
+        if np.isfinite(g[bad]).all():
+            what = "chain coordinate left the guarded region"
+        else:
+            what = "gradient oracle returned non-finite values"
+        raise NumericalBlowup(what, step_index, rows.labels[bad])
     return out, xv
 
 
@@ -277,9 +337,10 @@ def step(
     """Advance one chain by one exact Gaussian step (one gradient call)."""
     if state.dim != cache.dim or target.dim != cache.dim:
         raise InvalidInput("state/target dimension does not match the cache")
+    rows = _batch_rows([(cache, 1, None)])
     xv = np.stack([state.x, state.v])[None]
-    noise = next(_step_noise(cache, (rng,), 1))
-    _, xv = _advance(cache, _to_eigen(cache, xv), target.grad_oracle(xv[:, 0]), noise)
+    noise = next(_noise_blocks(rows, (rng,), 1))
+    _, xv = _advance(rows, _rotate(xv, rows), target.grad_oracle(xv[:, 0]), noise[:, 0])
     return ChainState(x=xv[0, 0], v=xv[0, 1])
 
 
@@ -292,6 +353,115 @@ class ChainRun:
     steps: np.ndarray
     grad_calls: int
     final: ChainState
+
+
+@dataclass(frozen=True, eq=False)
+class Cell:
+    """The chains of one (config, delta) in a run batch: one per generator of
+    ``rngs``, each from (x0, 0), or from v ~ N(0, u I) with
+    ``stationary_velocity_init``, for ``n_steps`` steps, keeping every thin-th
+    state after ``burn_in``. ``label`` names the cell in a ``NumericalBlowup``."""
+
+    init: InitSpec
+    config: ScalingConfig
+    delta: float
+    n_steps: int
+    rngs: tuple
+    thin: int = 1
+    burn_in: int = 0
+    stationary_velocity_init: bool = False
+    label: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class CellRun:
+    """Retained states of one cell's C chains, ``xs`` and ``vs`` each (C, kept, d),
+    taken at ``steps``; ``final`` is each chain's last (x; v), (C, 2, d)."""
+
+    xs: np.ndarray
+    vs: np.ndarray
+    steps: np.ndarray
+    final: np.ndarray
+    grad_calls: int
+
+    def chains(self) -> list[ChainRun]:
+        """One ``ChainRun`` per chain, viewing this cell's arrays."""
+        return [
+            ChainRun(x, v, self.steps, self.grad_calls, ChainState(x=last[0], v=last[1]))
+            for x, v, last in zip(self.xs, self.vs, self.final)
+        ]
+
+
+def run_cells(target: TargetModel, cells) -> list[CellRun]:
+    """Run every chain of every cell as one batch; one ``CellRun`` per cell.
+
+    Each step makes one ``target.grad_oracle`` call on the positions of every
+    chain whose cell has steps left, so the run makes max(n_steps) calls, and
+    each chain's run is the one ``run_chain`` gives it alone. ``NumericalBlowup``
+    reports the first step at which any chain trips, and that chain's cell.
+    """
+    caches = []
+    for cell in cells:
+        if cell.thin < 1 or cell.burn_in < 0:
+            raise InvalidInput("thin must be >= 1 and burn_in >= 0")
+        if not cell.rngs:
+            raise InvalidInput("at least one generator is required")
+        caches.append(_checked_cache((cell.init,), target, cell.config, cell.delta, cell.n_steps))
+
+    def rank(c):  # dense cells by ascending n, then the rest by descending n
+        n = cells[c].n_steps
+        return (0, n) if caches[c].perm is None else (1, -n)
+
+    order = sorted(range(len(cells)), key=rank)
+    bounds = np.cumsum([0] + [len(cells[c].rngs) for c in order]).tolist()
+    span = dict(zip(order, zip(bounds, bounds[1:])))
+    d = target.dim
+    xv = np.zeros((bounds[-1], 2, d))
+    for c, cell in enumerate(cells):
+        block = xv[span[c][0] : span[c][1]]
+        block[:, 0] = cell.init.x0
+        if cell.stationary_velocity_init:
+            for row, rng in zip(block, cell.rngs):
+                row[1] = math.sqrt(cell.config.u) * rng.standard_normal(d)
+
+    steps = [
+        cell.burn_in + cell.thin * np.arange(1, (cell.n_steps - cell.burn_in) // cell.thin + 1)
+        for cell in cells
+    ]
+    xs = [np.empty((len(cell.rngs), s.size, d)) for cell, s in zip(cells, steps)]
+    vs = [np.empty_like(x) for x in xs]
+    finals = [None] * len(cells)
+    ns, done, at = None, 0, 0  # working rows; steps taken; batch row of xv[0]
+    # The rows still running form one range [lo, hi), which shrinks at each cell's end.
+    for end in sorted({cell.n_steps for cell in cells}):
+        live = [c for c in order if cells[c].n_steps >= end]
+        lo, hi = span[live[0]][0], span[live[-1]][1]
+        window = _batch_rows([(caches[c], len(cells[c].rngs), cells[c].label) for c in live])
+        xv = xv[lo - at : hi - at]
+        ns, at = _rotate(xv, window) if ns is None else ns[lo - at : hi - at], lo
+        rngs = [rng for c in live for rng in cells[c].rngs]
+        for noise in _noise_blocks(window, rngs, end - done):
+            path = []
+            for t in range(noise.shape[1]):
+                g = target.grad_oracle(xv[:, 0])
+                ns, xv = _advance(window, ns, g, noise[:, t], done + t + 1)
+                path.append(xv)
+            path = np.stack(path)
+            for c in live:
+                cell, (a, b) = cells[c], span[c]
+                j = max(0, (done - cell.burn_in) // cell.thin)  # states kept before this block
+                first = cell.burn_in + cell.thin * (j + 1) - done - 1  # its index in the block
+                picked = path[first :: cell.thin, a - lo : b - lo]
+                xs[c][:, j : j + len(picked)] = picked[:, :, 0].swapaxes(0, 1)
+                vs[c][:, j : j + len(picked)] = picked[:, :, 1].swapaxes(0, 1)
+            done += noise.shape[1]
+        for c in live:
+            if cells[c].n_steps == end:
+                finals[c] = xv[span[c][0] - lo : span[c][1] - lo]
+    return [
+        CellRun(x, v, s, final, cell.n_steps)
+        for x, v, s, cell, final in zip(xs, vs, steps, cells, finals)
+    ]
 
 
 def run_chains(
@@ -312,31 +482,8 @@ def run_chains(
     ``stationary_velocity_init`` starts it from v ~ N(0, u I) instead of
     zero. ``NumericalBlowup`` reports the first step at which any chain trips.
     """
-    if thin < 1 or burn_in < 0:
-        raise InvalidInput("thin must be >= 1 and burn_in >= 0")
-    if not rngs:
-        raise InvalidInput("at least one generator is required")
-    cache = _checked_cache((init,), target, config, delta, n_steps)
-    xv = np.zeros((len(rngs), 2, target.dim))
-    xv[:, 0] = init.x0
-    if stationary_velocity_init:
-        for row, rng in zip(xv, rngs):
-            row[1] = math.sqrt(config.u) * rng.standard_normal(target.dim)
-    ns = _to_eigen(cache, xv)
-
-    kept = max(0, (n_steps - burn_in) // thin)
-    held = np.empty((len(rngs), kept, 2, target.dim))
-    out, next_kept = 0, burn_in + thin
-    for i, noise in enumerate(_step_noise(cache, rngs, n_steps), start=1):
-        ns, xv = _advance(cache, ns, target.grad_oracle(xv[:, 0]), noise, i)
-        if i == next_kept:
-            held[:, out] = xv
-            out, next_kept = out + 1, next_kept + thin
-    steps = burn_in + thin * np.arange(1, kept + 1, dtype=np.int64)
-    return [
-        ChainRun(run[:, 0], run[:, 1], steps, n_steps, ChainState(x=last[0], v=last[1]))
-        for run, last in zip(held, xv)
-    ]
+    cell = Cell(init, config, delta, n_steps, tuple(rngs), thin, burn_in, stationary_velocity_init)
+    return run_cells(target, [cell])[0].chains()
 
 
 def run_chain(init, target, config, delta, n_steps, rng, **options) -> ChainRun:
@@ -362,9 +509,10 @@ def coupled_pair_run(
     its decay rate measures the contraction of the dynamics.
     """
     cache = _checked_cache((init_a, init_b), target, config, delta, n_steps)
+    rows = _batch_rows([(cache, 2, None)])
     xv = np.zeros((2, 2, target.dim))
     xv[0, 0], xv[1, 0] = init_a.x0, init_b.x0
-    ns = _to_eigen(cache, xv)
+    ns = _rotate(xv, rows)
 
     def rho(xv) -> float:
         dx = xv[0, 0] - xv[1, 0]
@@ -373,7 +521,10 @@ def coupled_pair_run(
 
     out = np.empty(n_steps + 1)
     out[0] = rho(xv)
-    for i, noise in enumerate(_step_noise(cache, (rng,), n_steps), start=1):
-        ns, xv = _advance(cache, ns, target.grad_oracle(xv[:, 0]), noise, i)
-        out[i] = rho(xv)
+    i = 0
+    for noise in _noise_blocks(rows, (rng,), n_steps):
+        for shared in noise.swapaxes(0, 1):
+            i += 1
+            ns, xv = _advance(rows, ns, target.grad_oracle(xv[:, 0]), shared, i)
+            out[i] = rho(xv)
     return out

@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from slmc import InvalidInput
+from slmc import InvalidInput, NumericalBlowup, TheoremInapplicable
+from slmc import experiment
 from slmc.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -135,6 +136,30 @@ class TestRunExperiment:
         config = small_config(target=spec, n_override=200, burn_in=50)
         rows = run_experiment(config)
         assert rows[0].warnings  # surfaced, not raised
+
+    def test_wall_ms_only_with_timing(self):
+        config = small_config(methods=("scaled", "unscaled"), n_override=300, burn_in=100)
+        assert all(row.wall_ms > 0.0 for row in run_experiment(config, record_timing=True))
+        assert all(row.wall_ms == 0.0 for row in run_experiment(config))
+
+    def test_blowup_names_the_cell_that_trips_first(self):
+        # alone, the unscaled cell trips at step 14 and the scaled one at step 10
+        config = small_config(methods=("unscaled", "scaled"), delta_override=20.0, n_override=400, burn_in=10)
+        with pytest.raises(NumericalBlowup, match="in cell 'scaled eps=0.5' \\(step 10\\)"):
+            run_experiment(config)
+
+    @pytest.mark.filterwarnings("ignore:theta = .* exceeds 1/2:RuntimeWarning")
+    def test_every_cell_is_planned_before_any_chain_runs(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        features = rng.standard_normal((50, 2)) * 6.0
+        labels = np.where(rng.standard_normal(50) > 0, 1.0, -1.0)
+        path = tmp_path / "steep.csv"
+        np.savetxt(path, np.column_stack([features, labels]), delimiter=",")
+        spec = TargetSpecification(kind="logistic", dataset=str(path), ridge=0.01)
+        config = small_config(target=spec, methods=("unscaled", "scaled"), delta_override=None, n_override=None)
+        monkeypatch.setattr(experiment, "run_cells", lambda *args: pytest.fail("chains ran"))
+        with pytest.raises(TheoremInapplicable):  # the scaled plan: theta > 1/2
+            run_experiment(config)
 
     def test_inapplicable_plan_without_overrides_raises(self, tmp_path):
         rng = np.random.default_rng(3)

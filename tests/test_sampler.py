@@ -26,7 +26,8 @@ from slmc import (
     unscaled_config,
     estimate_theta,
 )
-from slmc.sampler import NOISE_BLOCK_DOUBLES
+from slmc.experiment import tune_scaled
+from slmc.sampler import NOISE_BLOCK_DOUBLES, Cell, run_cells
 
 
 def scalar_moments(a, gamma, u, delta, x, v, g):
@@ -292,6 +293,22 @@ class TestIndexPath:
         assert np.array_equal(out.x, mom.mean_x)
         assert np.array_equal(out.v, mom.mean_v)
 
+    @pytest.mark.parametrize("method", ["scaled", "unscaled"])
+    def test_noisy_step_equals_products_by_the_permutation_matrix(self, method):
+        # a product by a permutation matrix is exact, so the dense path with that
+        # V must give the indexed path's step bit for bit, noise included
+        target = self.unsorted_target()
+        if method == "scaled":
+            config = scaled_params(target, estimate_theta(target, [np.zeros(3)], [np.zeros(3)]))
+        else:
+            config = unscaled_config(target)
+        cache = make_step_cache(config, 0.1)
+        dense = replace(cache, perm=None, unperm=None)
+        state = ChainState(x=np.array([0.3, 1.2, -0.8]), v=np.array([-0.4, 0.1, 0.9]))
+        out = step(state, target, cache, np.random.default_rng(8))
+        ref = step(state, target, dense, np.random.default_rng(8))
+        assert np.array_equal(out.x, ref.x) and np.array_equal(out.v, ref.v)
+
     def test_dense_a_keeps_the_matrix_products(self):
         cache = make_step_cache(make_config(random_spd(np.random.default_rng(43), 3)), 0.1)
         assert cache.perm is None and cache.unperm is None
@@ -525,6 +542,91 @@ class TestRunChains:
         target = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))
         with pytest.raises(InvalidInput):
             run_chains(InitSpec.from_point(target), target, unscaled_config(target), 0.1, 5, [])
+
+
+class TestRunCells:
+    """Every chain of every cell of a run moves in one batch."""
+
+    @staticmethod
+    def cells(init, plan, seed0=100):
+        """One three-chain Cell per (config, delta, n_steps, options) entry of ``plan``."""
+        return [
+            Cell(init, config, delta, n, tuple(np.random.default_rng(seed0 + 10 * i + c) for c in range(3)),
+                 **options)
+            for i, (config, delta, n, options) in enumerate(plan)
+        ]
+
+    @staticmethod
+    def check_matches_cells_alone(target, cells, exact):
+        batch = run_cells(target, cells)
+        for cell, run in zip(cells, batch):
+            seeds = [rng.bit_generator.seed_seq.entropy for rng in cell.rngs]
+            alone = run_chains(
+                cell.init, target, cell.config, cell.delta, cell.n_steps,
+                [np.random.default_rng(s) for s in seeds], thin=cell.thin, burn_in=cell.burn_in,
+                stationary_velocity_init=cell.stationary_velocity_init,
+            )
+            assert run.grad_calls == cell.n_steps
+            for got, want in zip(run.chains(), alone):
+                assert np.array_equal(got.steps, want.steps)
+                pairs = ((got.xs, want.xs), (got.vs, want.vs), (got.final.x, want.final.x),
+                         (got.final.v, want.final.v))
+                for a, b in pairs:
+                    assert a.shape == b.shape
+                    if exact:
+                        assert np.array_equal(a, b)
+                    else:  # gradient rows may round differently in a larger batch
+                        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_gaussian_cells_bit_identical_to_each_cell_alone(self):
+        target = make_gaussian(np.array([0.5, -1.0, 2.0]), SymMatrix.diagonal([4.0, 1.0, 2.0]))
+        scaled = scaled_params(target, estimate_theta(target, [np.zeros(3)], [np.zeros(3)]))
+        assert not np.array_equal(scaled.A.eig.perm, np.arange(3))
+        unscaled = unscaled_config(target)
+        # three rows of d = 3 fill a noise block in 1,820 steps: n = 3000 crosses a
+        # block boundary once the other cells have left, and n = 700 ends inside a block
+        cells = self.cells(InitSpec.from_point(target, np.array([1.0, 2.0, -1.0])), [
+            (scaled, 0.05, 700, dict(burn_in=100, thin=3)),
+            (scaled, 0.02, 1, {}),
+            (unscaled, 0.05, 3000, {}),
+            (unscaled, 0.02, 257, dict(burn_in=50, thin=7, stationary_velocity_init=True)),
+        ])
+        self.check_matches_cells_alone(target, cells, exact=True)
+
+    @pytest.mark.filterwarnings("ignore:theta = .* exceeds 1/2:RuntimeWarning")
+    def test_logistic_dense_cells_beside_an_unscaled_cell(self):
+        target = random_logistic(45, rows=40, d=3, ridge=0.5)
+        scaled = tune_scaled(target, 0)
+        assert scaled.A.eig.perm is None
+        cells = self.cells(InitSpec.from_point(target, np.ones(3)), [
+            (scaled, 0.05, 300, dict(burn_in=20, thin=2)),
+            (unscaled_config(target), 0.05, 400, {}),
+            (scaled, 0.1, 150, {}),
+            (unscaled_config(target), 0.1, 200, {}),
+        ])
+        self.check_matches_cells_alone(target, cells, exact=False)
+
+    def test_one_gradient_call_per_step_of_the_longest_cell(self):
+        target = make_gaussian(np.zeros(2), SymMatrix.diagonal([1.0, 4.0]))
+        rows = []
+        counted = replace(target, grad_oracle=lambda x: (rows.append(len(x)), target.grad_oracle(x))[1])
+        rows.clear()  # discard the contract checks made on construction
+        config = unscaled_config(target)
+        plan = [(config, 0.1, 5, {}), (config, 0.1, 12, {}), (config, 0.2, 9, {})]
+        cells = self.cells(InitSpec.from_point(target), plan)
+        run_cells(counted, cells)
+        assert rows == [9] * 5 + [6] * 4 + [3] * 3
+
+    def test_blowup_names_the_first_cell_to_trip(self):
+        target = make_gaussian(np.zeros(2), SymMatrix.diagonal([1.0, 4.0]))
+        init, config = InitSpec.from_point(target), unscaled_config(target)
+        cells = [
+            Cell(init, config, 0.1, 500, (np.random.default_rng(1), SpikeRng(2, 300, 2)), label="a"),
+            Cell(init, config, 0.1, 500, (SpikeRng(3, 40, 2),), label="b"),
+        ]
+        with pytest.raises(NumericalBlowup, match="in cell 'b' \\(step 40\\)") as err:
+            run_cells(target, cells)
+        assert (err.value.cell, err.value.step_index) == ("b", 40)
 
 
 class TestCoupledPair:

@@ -205,9 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument(
         "--timing",
         action="store_true",
-        help="record wall time (breaks byte-stability): a cell's own evaluation time plus "
-        "its share of chain steps (n x chains over the run's total) of the one batch that "
-        "runs every cell's chains",
+        help="record wall time (breaks byte-stability): a cell's own evaluation time, in "
+        "whichever thread evaluated it, plus its share of chain steps (n x chains over the "
+        "run's total) of the one batch that runs every cell's chains; cells are evaluated "
+        "side by side, so the times can sum to more than the run's wall time",
     )
 
     p_validate = sub.add_parser("validate-kernel", help="moment-oracle validation suite")

@@ -9,14 +9,16 @@ oscillation probes use :data:`PROBE_SALT`.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInput, TheoremInapplicable
-from .metrics import GaussianSummary, SampleCloud, empirical_w2, gaussian_w2, moment_summary
+from .metrics import GaussianSummary, SampleCloud, empirical_w2, gaussian_w2, import_solvers, moment_summary
 from .sampler import Cell, run_cells, run_chain
 from .spd import SymMatrix
 from .targets import InitSpec, TargetModel, load_logistic_csv, make_gaussian, make_logistic_ridge, sample_exact_positions
@@ -371,17 +373,58 @@ def prepare_run(config: ExperimentConfig, methods: tuple[str, ...] | None = None
     return RunSetup(target=target, init=init, scaled=scaled, unscaled=unscaled)
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_concurrently(fn, count: int, workers: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]`` on ``workers`` threads: the calling thread
+    and a pool of workers - 1, each taking the next index not yet taken. Every
+    index is tried, and every thread is joined before this returns; then the
+    exception of the lowest index that raised, if any, is raised."""
+    results, errors = [None] * count, [None] * count
+    indices = iter(range(count))
+
+    def drain():
+        for i in indices:
+            try:
+                results[i] = fn(i)
+            except Exception as exc:
+                errors[i] = exc
+
+    if workers > 1:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            for _ in range(workers - 1):
+                pool.submit(drain)
+            drain()
+    else:
+        drain()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> list[ResultRow]:
     """Run every (method, epsilon) cell and collect result rows.
 
     Every cell is planned first, so an inapplicable plan raises before any
     chain runs. The chains of all cells then run as one batch
-    (:func:`run_cells`), and each cell is evaluated in turn. Deterministic
-    given the config seed. ``wall_ms`` stays zero unless ``record_timing``
-    is set, keeping the default output byte-stable across reruns; when set,
-    a cell's ``wall_ms`` is its own evaluation time plus the batch's wall
-    time times the cell's share of chain steps (n x chains over the run's
-    total).
+    (:func:`run_cells`). The cells' W2 are then evaluated side by side on
+    min(cells, available CPUs) threads, the calling thread among them (a
+    target without closed-form moments has no W2, and starts no thread).
+    Each cell's evaluation reads only its own chains and generator, so the
+    rows do not depend on the number of threads. If evaluations raise, the
+    first failing cell's exception is raised once every thread is done.
+    Deterministic given the config seed. ``wall_ms`` stays zero unless ``record_timing`` is set,
+    keeping the default output byte-stable across reruns; when set, a cell's
+    ``wall_ms`` is its own evaluation time, in whichever thread ran it, plus
+    the batch's wall time times the cell's share of chain steps (n x chains
+    over the run's total). Evaluations overlap, so the cells' ``wall_ms`` can
+    sum to more than the call's wall time.
     """
     setup = prepare_run(config)
     target, init = setup.target, setup.init
@@ -409,29 +452,33 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
     positions = [run.xs for run in runs]
     del runs  # free the velocities before the W2 evaluation
     total_steps = sum(spec.n_steps * len(spec.rngs) for spec in specs)
+    if summary is not None:  # shared by the evaluation threads, so set up on this one
+        summary.cov.eig  # the target's position covariance, decomposed
+        import_solvers()
 
-    rows = []
-    for cell_index, ((method, epsilon), (delta, n_steps, _, warnings)) in enumerate(zip(cells, plans)):
+    def evaluate(cell_index: int) -> tuple[float, float, float]:
+        """W2 to the target by moments and by exact matching, and the milliseconds taken."""
         start = time.monotonic()
-        chain_config = setup.chain_config(method)
         pooled_x = positions[cell_index].reshape(-1, d)
-        positions[cell_index] = None  # freed once this cell's W2 is done
-        if summary is not None:
-            w2_gauss = gaussian_w2(moment_summary(SampleCloud.from_points(pooled_x)), summary)
-            sub = _even_subsample(pooled_x, EMPIRICAL_W2_CAP)
-            eval_rng = np.random.default_rng(
-                chain_seed(config.seed, cell_index, EVAL_CHAIN_SLOT)
-            )
-            reference = sample_exact_positions(target, sub.shape[0], eval_rng)
-            w2_emp = empirical_w2(
-                SampleCloud.from_points(sub), SampleCloud.from_points(reference)
-            )
-        else:
-            w2_gauss = float("nan")
-            w2_emp = float("nan")
+        positions[cell_index] = None  # freed with pooled_x, before the matching
+        if summary is None:
+            return float("nan"), float("nan"), (time.monotonic() - start) * 1e3
+        w2_gauss = gaussian_w2(moment_summary(SampleCloud.from_points(pooled_x)), summary)
+        sub = _even_subsample(pooled_x, EMPIRICAL_W2_CAP)
+        del pooled_x
+        eval_rng = np.random.default_rng(chain_seed(config.seed, cell_index, EVAL_CHAIN_SLOT))
+        reference = sample_exact_positions(target, sub.shape[0], eval_rng)
+        w2_emp = empirical_w2(SampleCloud.from_points(sub), SampleCloud.from_points(reference))
+        return w2_gauss, w2_emp, (time.monotonic() - start) * 1e3
 
+    workers = 1 if summary is None else min(len(cells), available_cpus())
+    evaluations = _map_concurrently(evaluate, len(cells), workers)
+    rows = []
+    for (method, epsilon), (delta, n_steps, _, warnings), (w2_gauss, w2_emp, eval_ms), vel_ratio in zip(
+        cells, plans, evaluations, vel_ratios
+    ):
+        chain_config = setup.chain_config(method)
         share = n_steps * config.chains / total_steps
-        wall_ms = (time.monotonic() - start) * 1e3 + batch_ms * share if record_timing else 0.0
         rows.append(
             ResultRow(
                 target=target.name,
@@ -445,8 +492,8 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
                 grad_calls=n_steps * config.chains,
                 w2_gauss=w2_gauss,
                 w2_empirical=w2_emp,
-                vel_ratio=vel_ratios[cell_index],
-                wall_ms=wall_ms,
+                vel_ratio=vel_ratio,
+                wall_ms=eval_ms + batch_ms * share if record_timing else 0.0,
                 warnings=tuple(warnings),
             )
         )

@@ -111,10 +111,9 @@ def _cov_xx_shape(s: np.ndarray) -> np.ndarray:
 
 
 def _modes(config: ScalingConfig, delta: float):
-    """Eigenvectors V of A (shared with ``config.A.eig``) and the
-    per-eigenvalue closed forms of one step.
+    """The per-eigenvalue closed forms of one step, in the order of ``config.A.eig``.
 
-    Returns ``(V, mean_w, mean_g, cov)``: ``mean_w`` and ``mean_g`` are
+    Returns ``(mean_w, mean_g, cov)``: ``mean_w`` and ``mean_g`` are
     (2, d) rows (y, w) weighting w and h in the step mean, ``cov`` holds
     the (3, d) rows cov_yy, cov_yw, cov_ww.
     """
@@ -134,17 +133,18 @@ def _modes(config: ScalingConfig, delta: float):
             -u * np.expm1(-2.0 * s),
         ]
     )
-    return pair.vectors, mean_w, mean_g, cov
+    return mean_w, mean_g, cov
 
 
 @dataclass(frozen=True, eq=False)
 class StepCache:
     """One step of fixed (A, gamma, u, delta), stored per eigenvalue of A.
 
-    ``vectors`` holds the eigenvectors V of A as columns; when V is a
-    permutation, ``perm`` (``config.A.eig.perm``) and its inverse ``unperm``
-    index in place of products with V and V^T. Every other array is per
-    mode, indexed by eigenvalue along its last axis:
+    ``vectors`` reads the eigenvectors V of A (as columns) off ``config.A.eig``:
+    the stored V of a dense A, or one built on each read when V is a
+    permutation, which no step reads: then ``perm`` (``config.A.eig.perm``)
+    and its inverse ``unperm`` index in place of products with V and V^T.
+    Every other array is per mode, indexed by eigenvalue along its last axis:
     ``mean_w`` and ``mean_g`` are the (2, d) rows (y, w) by which the
     step mean weights the velocity w = V^T v and the gradient h = V^T g,
     and ``factor[i, j]`` is entry (i, j) of each mode's lower 2x2
@@ -155,12 +155,15 @@ class StepCache:
     config: ScalingConfig
     delta: float
     dim: int
-    vectors: np.ndarray
     perm: np.ndarray | None
     unperm: np.ndarray | None
     mean_w: np.ndarray
     mean_g: np.ndarray
     factor: np.ndarray
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self.config.A.eig.vectors
 
 
 def _mean(mean_w, mean_g, ns: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -177,7 +180,8 @@ def kernel_moments(
 ) -> KernelMoments:
     """Exact first and second moments of one frozen-gradient step, assembled
     with dense products by V: the reference the indexed step is tested against."""
-    vectors, mean_w, mean_g, cov = _modes(config, delta)
+    mean_w, mean_g, cov = _modes(config, delta)
+    vectors = config.A.eig.vectors
     d = vectors.shape[0]
     g = np.asarray(grad, dtype=float)
     if g.shape != (d,) or state.dim != d:
@@ -205,7 +209,7 @@ def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
     not factor in floating point, e.g. when delta is so small that
     cov_yy underflows; no jitter is added.
     """
-    vectors, mean_w, mean_g, (c_yy, c_yw, c_ww) = _modes(config, delta)
+    mean_w, mean_g, (c_yy, c_yw, c_ww) = _modes(config, delta)
     with np.errstate(all="ignore"):
         l_yy = np.sqrt(c_yy)
         l_wy = c_yw / l_yy
@@ -222,8 +226,7 @@ def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
     return StepCache(
         config=config,
         delta=delta,
-        dim=vectors.shape[0],
-        vectors=vectors,
+        dim=mean_w.shape[-1],
         perm=perm,
         unperm=unperm,
         mean_w=mean_w,
@@ -298,16 +301,22 @@ def _rotate(z: np.ndarray, rows: _Rows, back: bool = False) -> np.ndarray:
 
 def _noise_blocks(rows: _Rows, rngs, n_steps: int):
     """Yield the correlated (y; w) noise of n_steps steps in blocks (len(rngs), K, 2, d)
-    in each row's own coordinates, row r drawn from ``rngs[r]`` (see the module docstring)."""
+    in each row's own coordinates, row r drawn from ``rngs[r]`` (see the module docstring).
+    Each block is written into the buffer of the one before it, so use a block
+    before drawing the next."""
     r, d = len(rngs), rows.factor.shape[-1]
     block = max(1, min(n_steps, NOISE_BLOCK_DOUBLES // (r * 2 * d)))
-    raw = np.empty((r, block, 2, d))
+    raw, out = np.empty((r, block, 2, d)), np.empty((r, block, 2, d))
     factor = rows.factor[:r, None]
+    l_yy, l_wy, l_ww = factor[:, :, 0, 0], factor[:, :, 1, 0], factor[:, :, 1, 1]
     for start in range(0, n_steps, block):
         k = min(block, n_steps - start)
         for z, rng in zip(raw, rngs):
             rng.standard_normal(out=z[:k])
-        noise = (factor * raw[:, :k, None]).sum(axis=-2)
+        z, noise = raw[:, :k], out[:, :k]
+        np.multiply(l_yy, z[:, :, 0], out=noise[:, :, 0])  # l_yx = 0
+        np.multiply(l_wy, z[:, :, 0], out=noise[:, :, 1])
+        noise[:, :, 1] += np.multiply(l_ww, z[:, :, 1], out=z[:, :, 1])
         for lo, hi, unperm in rows.perms:
             noise[lo:hi] = noise[lo:hi].take(unperm, axis=-1)
         yield noise
@@ -440,21 +449,23 @@ def run_cells(target: TargetModel, cells) -> list[CellRun]:
         xv = xv[lo - at : hi - at]
         ns, at = _rotate(xv, window) if ns is None else ns[lo - at : hi - at], lo
         rngs = [rng for c in live for rng in cells[c].rngs]
+        path = None  # the states of one noise block, (K, rows, 2, d)
         for noise in _noise_blocks(window, rngs, end - done):
-            path = []
-            for t in range(noise.shape[1]):
+            k = noise.shape[1]
+            if path is None:  # the first block is the longest
+                path = np.empty((k,) + xv.shape)
+            for t in range(k):
                 g = target.grad_oracle(xv[:, 0])
                 ns, xv = _advance(window, ns, g, noise[:, t], done + t + 1)
-                path.append(xv)
-            path = np.stack(path)
+                path[t] = xv
             for c in live:
                 cell, (a, b) = cells[c], span[c]
                 j = max(0, (done - cell.burn_in) // cell.thin)  # states kept before this block
                 first = cell.burn_in + cell.thin * (j + 1) - done - 1  # its index in the block
-                picked = path[first :: cell.thin, a - lo : b - lo]
+                picked = path[first : k : cell.thin, a - lo : b - lo]
                 xs[c][:, j : j + len(picked)] = picked[:, :, 0].swapaxes(0, 1)
                 vs[c][:, j : j + len(picked)] = picked[:, :, 1].swapaxes(0, 1)
-            done += noise.shape[1]
+            done += k
         for c in live:
             if cells[c].n_steps == end:
                 finals[c] = xv[span[c][0] - lo : span[c][1] - lo]

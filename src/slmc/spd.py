@@ -33,11 +33,23 @@ _SYM_RTOL = 1e-12
 class EigenPair:
     """Ascending eigenvalues and the matching orthonormal eigenvectors (columns).
     For a diagonal matrix whose V is a permutation (column j is e_perm[j]),
-    ``perm`` makes ``z[..., perm]`` equal ``z @ V`` bit for bit; else None."""
+    ``perm`` makes ``z[..., perm]`` equal ``z @ V`` bit for bit, and V is not
+    stored: ``vectors`` builds it, read-only, on each read. Else ``perm`` is
+    None and ``dense`` holds V."""
 
     values: np.ndarray
-    vectors: np.ndarray
     perm: np.ndarray | None
+    dense: np.ndarray | None
+
+    @property
+    def vectors(self) -> np.ndarray:
+        if self.perm is None:
+            return self.dense
+        d = self.perm.size
+        vectors = np.zeros((d, d))
+        vectors[self.perm, np.arange(d)] = 1.0  # I[:, perm]; a column gather is ~30x slower
+        vectors.setflags(write=False)
+        return vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +63,7 @@ class SymMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=float)
+        m = np.asarray(self.mat, dtype=float)  # only read: the stored array is new
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
         d = m.shape[0]
@@ -59,11 +71,13 @@ class SymMatrix:
             raise InvalidInput(f"dimension {d} outside supported range 1..{MAX_DIM}")
         if not np.all(np.isfinite(m)):
             raise InvalidInput("matrix has non-finite entries")
-        asym = float(np.abs(m - m.T).max())
-        scale = max(1.0, float(np.abs(m).max()))
+        scratch = np.subtract(m, m.T)
+        asym = float(np.abs(scratch, out=scratch).max())
+        scale = max(1.0, float(m.max()), -float(m.min()))
         if asym > _SYM_RTOL * scale:
             raise InvalidInput(f"matrix is not symmetric: max|M - M^T| = {asym:.3e}")
-        sym = 0.5 * (m + m.T)
+        sym = np.add(m, m.T, out=scratch)
+        sym *= 0.5
         sym.setflags(write=False)
         object.__setattr__(self, "mat", sym)
 
@@ -76,20 +90,24 @@ class SymMatrix:
         """Full symmetric eigendecomposition, eigenvalues ascending, read-only;
         computed on first use and kept. A diagonal matrix is sorted instead
         of solved: with ``order`` its stable argsort it returns values
-        ``diag[order]``, vectors ``I[:, order]`` and ``perm = order`` (tied
-        entries keep their index order, which ``eigh`` does not promise)."""
-        entries = np.diagonal(self.mat)
-        if np.count_nonzero(self.mat) == np.count_nonzero(entries):
+        ``diag[order]`` and ``perm = order``, whose vectors are ``I[:, order]``
+        (tied entries keep their index order, which ``eigh`` does not promise)."""
+        if self.is_diagonal:
+            entries = np.diagonal(self.mat)
             perm = np.argsort(entries, kind="stable")
-            values, vectors = entries[perm], np.zeros_like(self.mat)
-            vectors[perm, np.arange(self.dim)] = 1.0  # I[:, perm]; a column gather is ~30x slower
+            values, vectors = entries[perm], None
         else:
             values, vectors = np.linalg.eigh(self.mat)
             perm = None
         for array in (values, vectors, perm):
             if array is not None:
                 array.setflags(write=False)
-        return EigenPair(values=values, vectors=vectors, perm=perm)
+        return EigenPair(values=values, perm=perm, dense=vectors)
+
+    @property
+    def is_diagonal(self) -> bool:
+        """Whether every off-diagonal entry is zero."""
+        return np.count_nonzero(self.mat) == np.count_nonzero(np.diagonal(self.mat))
 
     @classmethod
     def diagonal(cls, entries) -> "SymMatrix":

@@ -232,6 +232,10 @@ def make_logistic_ridge(
     )
 
 
+#: A Newton decrement below this fraction of |f| is one the line search cannot resolve.
+_UNRESOLVED = 1.5e-8  # ~sqrt(eps)
+
+
 def _newton_minimize(value, grad, hess, dim: int, max_iter: int) -> np.ndarray:
     x = np.zeros(dim)
     for _ in range(max_iter):
@@ -246,7 +250,22 @@ def _newton_minimize(value, grad, hess, dim: int, max_iter: int) -> np.ndarray:
                 break
             t *= 0.5
         x = x - t * step
-    if np.linalg.norm(grad(x)) <= 1e-10:
+    # Near the optimum the line search compares values it cannot resolve, and
+    # it can stall above the tolerance. Once the Newton decrement g^T H^-1 g
+    # is that small, full steps still converge: take up to 5 while |g| falls.
+    g = grad(x)
+    for _ in range(5):
+        if np.linalg.norm(g) <= 1e-10:
+            return x
+        step = np.linalg.solve(hess(x).mat, g)
+        if float(g @ step) > _UNRESOLVED * max(1.0, abs(value(x))):
+            break
+        trial = x - step
+        g_trial = grad(trial)
+        if not np.linalg.norm(g_trial) < np.linalg.norm(g):
+            break
+        x, g = trial, g_trial
+    if np.linalg.norm(g) <= 1e-10:
         return x
     raise MinimizerNotFound(
         f"Newton did not reach gradient norm 1e-10 in {max_iter} iterations"

@@ -1,4 +1,6 @@
 import csv
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -173,6 +175,66 @@ class TestRunExperiment:
 
         with pytest.raises(TheoremInapplicable):
             run_experiment(config)
+
+
+class TestConcurrentEvaluation:
+    """The cells of a run are evaluated side by side, one thread per CPU."""
+
+    CONFIG = small_config(methods=("scaled", "unscaled"), epsilons=(0.5, 0.25), n_override=300, burn_in=100)
+
+    def test_rows_do_not_depend_on_the_number_of_threads(self, tmp_path, monkeypatch):
+        # four threads switch every microsecond, so a cell taken twice or lost shows
+        outputs = []
+        interval = sys.getswitchinterval()
+        for cpus in (1, 4):
+            monkeypatch.setattr(experiment, "available_cpus", lambda cpus=cpus: cpus)
+            path = tmp_path / f"cpus{cpus}.csv"
+            sys.setswitchinterval(1e-6)
+            try:
+                emit_csv(run_experiment(self.CONFIG), path)
+            finally:
+                sys.setswitchinterval(interval)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        empirical_w2, threads = experiment.empirical_w2, set()
+
+        def recording(a, b):
+            threads.add(threading.get_ident())
+            return empirical_w2(a, b)
+
+        monkeypatch.setattr(experiment, "available_cpus", lambda: 1)
+        monkeypatch.setattr(experiment, "empirical_w2", recording)
+        run_experiment(self.CONFIG)
+        assert threads == {threading.get_ident()}
+
+    def test_first_failing_cell_raises_once_every_thread_is_joined(self, monkeypatch):
+        # one thread evaluates the cells in cell order, which names each cell's
+        # reference cloud; then cells 1 and 3 fail on four threads
+        empirical_w2, references = experiment.empirical_w2, []
+
+        def recording(a, b):
+            references.append(b.points.tobytes())
+            return empirical_w2(a, b)
+
+        monkeypatch.setattr(experiment, "available_cpus", lambda: 1)
+        monkeypatch.setattr(experiment, "empirical_w2", recording)
+        run_experiment(self.CONFIG)
+        assert len(references) == 4
+
+        def failing(a, b):
+            cell = references.index(b.points.tobytes())
+            if cell in (1, 3):
+                raise RuntimeError(f"cell {cell}")
+            return empirical_w2(a, b)
+
+        monkeypatch.setattr(experiment, "available_cpus", lambda: 4)
+        monkeypatch.setattr(experiment, "empirical_w2", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^cell 1$"):
+            run_experiment(self.CONFIG)
+        assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from helpers import random_spd
+import slmc
 from slmc import (
     GaussianSummary,
     InvalidInput,
@@ -246,3 +251,11 @@ class TestSampleCloud:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInput):
             SampleCloud.from_points(np.array([[np.nan, 0.0]]))
+
+
+def test_importing_slmc_loads_no_scipy():
+    # scipy is imported by the first W2 that needs it, not by the package
+    code = "import sys, slmc; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(slmc.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,13 @@ class TestSymMatrix:
 
 
 class TestSymEig:
+    def test_permutation_eigenbasis_stores_no_dense_vectors(self):
+        d = 512
+        pair = SymMatrix.diagonal(np.arange(1.0, d + 1.0)).eig
+        arrays = [getattr(pair, f.name) for f in fields(pair)]
+        assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < d * d * 8
+        assert np.array_equal(pair.vectors, np.linalg.eigh(np.diag(np.arange(1.0, d + 1.0)))[1])
+
     @pytest.mark.parametrize(
         "entries",
         [

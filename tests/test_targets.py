@@ -168,6 +168,12 @@ class TestLogisticRidge:
         with pytest.raises(MinimizerNotFound):
             make_logistic_ridge(features, labels, ridge=0.1, max_newton_iter=1)
 
+    def test_newton_polishes_past_a_stalled_line_search(self):
+        # near this optimum the line search cannot resolve the decrease it asks
+        # for and stalls at |g| ~ 2.6e-10; full Newton steps reach the tolerance
+        t = random_logistic(45, rows=2000, d=20, ridge=0.5)
+        assert np.linalg.norm(t.grad_oracle(t.minimizer)) <= 1e-10
+
     def test_bad_labels_rejected(self):
         with pytest.raises(InvalidInput):
             make_logistic_ridge(np.zeros((2, 1)), np.array([0.0, 1.0]), ridge=1.0)

@@ -207,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record wall time (breaks byte-stability): a cell's own evaluation time, in "
         "whichever thread evaluated it, plus its share of chain steps (n x chains over the "
-        "run's total) of the one batch that runs every cell's chains; cells are evaluated "
-        "side by side, so the times can sum to more than the run's wall time",
+        "run's total) of the one batch that runs every cell's chains; a cell is evaluated "
+        "once its own chains end, side by side with other cells and with the batch still "
+        "stepping longer cells, so the times can sum to more than the run's wall time",
     )
 
     p_validate = sub.add_parser("validate-kernel", help="moment-oracle validation suite")

@@ -10,8 +10,9 @@ oscillation probes use :data:`PROBE_SALT`.
 from __future__ import annotations
 
 import os
+import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -380,51 +381,28 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_concurrently(fn, count: int, workers: int) -> list:
-    """``[fn(0), ..., fn(count - 1)]`` on ``workers`` threads: the calling thread
-    and a pool of workers - 1, each taking the next index not yet taken. Every
-    index is tried, and every thread is joined before this returns; then the
-    exception of the lowest index that raised, if any, is raised."""
-    results, errors = [None] * count, [None] * count
-    indices = iter(range(count))
-
-    def drain():
-        for i in indices:
-            try:
-                results[i] = fn(i)
-            except Exception as exc:
-                errors[i] = exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            for _ in range(workers - 1):
-                pool.submit(drain)
-            drain()
-    else:
-        drain()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
 def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> list[ResultRow]:
     """Run every (method, epsilon) cell and collect result rows.
 
     Every cell is planned first, so an inapplicable plan raises before any
     chain runs. The chains of all cells then run as one batch
-    (:func:`run_cells`). The cells' W2 are then evaluated side by side on
-    min(cells, available CPUs) threads, the calling thread among them (a
-    target without closed-form moments has no W2, and starts no thread).
-    Each cell's evaluation reads only its own chains and generator, so the
-    rows do not depend on the number of threads. If evaluations raise, the
-    first failing cell's exception is raised once every thread is done.
+    (:func:`run_cells`), which hands over each cell as it ends: its
+    ``vel_ratio`` is taken there and its W2 evaluation queued. min(cells,
+    available CPUs) - 1 threads, started before the batch, each evaluate the
+    lowest-numbered cell ready, so evaluations overlap the steps of longer
+    cells (the matching, LAPACK and BLAS release the GIL); the calling thread
+    joins them once the batch ends. With one CPU, or no W2 (no closed-form
+    moments), no thread starts and the calling thread evaluates in cell
+    order after the batch. Each evaluation reads only its own cell's chains
+    and generator, so the rows do not depend on the number of threads. Every
+    thread is joined before this returns or raises: an exception from the
+    batch is raised as is, else the first failing cell's exception, if any.
     Deterministic given the config seed. ``wall_ms`` stays zero unless ``record_timing`` is set,
     keeping the default output byte-stable across reruns; when set, a cell's
     ``wall_ms`` is its own evaluation time, in whichever thread ran it, plus
     the batch's wall time times the cell's share of chain steps (n x chains
-    over the run's total). Evaluations overlap, so the cells' ``wall_ms`` can
-    sum to more than the call's wall time.
+    over the run's total). Evaluations overlap the batch and each other, so
+    the cells' ``wall_ms`` can sum to more than the call's wall time.
     """
     setup = prepare_run(config)
     target, init = setup.target, setup.init
@@ -441,26 +419,27 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
         label = f"{method} eps={epsilon:g}"
         chain_config = setup.chain_config(method)
         specs.append(Cell(init, chain_config, delta, n_steps, rngs, config.thin, burn_in, label=label))
-    start = time.monotonic()
-    runs = run_cells(target, specs)
-    batch_ms = (time.monotonic() - start) * 1e3
     d = target.dim
-    vel_ratios = [
-        float((run.vs.reshape(-1, d) ** 2).sum(axis=1).mean() / (spec.config.u * d))
-        for run, spec in zip(runs, specs)
-    ]
-    positions = [run.xs for run in runs]
-    del runs  # free the velocities before the W2 evaluation
     total_steps = sum(spec.n_steps * len(spec.rngs) for spec in specs)
     if summary is not None:  # shared by the evaluation threads, so set up on this one
         summary.cov.eig  # the target's position covariance, decomposed
         import_solvers()
+    vel_ratios, positions = [None] * len(cells), [None] * len(cells)
+    evaluations, errors = [None] * len(cells), [None] * len(cells)
+    ready = queue.PriorityQueue()  # cell indices; -1 and len(cells) stop a thread
+
+    def hand_over(cell_index: int, run) -> None:
+        """Take a finished cell's velocity ratio and queue its positions."""
+        u = specs[cell_index].config.u
+        vel_ratios[cell_index] = float((run.vs.reshape(-1, d) ** 2).sum(axis=1).mean() / (u * d))
+        positions[cell_index] = run.xs
+        ready.put(cell_index)
 
     def evaluate(cell_index: int) -> tuple[float, float, float]:
         """W2 to the target by moments and by exact matching, and the milliseconds taken."""
         start = time.monotonic()
         pooled_x = positions[cell_index].reshape(-1, d)
-        positions[cell_index] = None  # freed with pooled_x, before the matching
+        positions[cell_index] = None  # freed with pooled_x once the batch is done, before the matching
         if summary is None:
             return float("nan"), float("nan"), (time.monotonic() - start) * 1e3
         w2_gauss = gaussian_w2(moment_summary(SampleCloud.from_points(pooled_x)), summary)
@@ -471,8 +450,35 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
         w2_emp = empirical_w2(SampleCloud.from_points(sub), SampleCloud.from_points(reference))
         return w2_gauss, w2_emp, (time.monotonic() - start) * 1e3
 
+    def drain() -> None:
+        """Evaluate the next ready cell until a stop index comes up."""
+        while 0 <= (cell_index := ready.get()) < len(cells):
+            try:
+                evaluations[cell_index] = evaluate(cell_index)
+            except Exception as exc:
+                errors[cell_index] = exc
+
     workers = 1 if summary is None else min(len(cells), available_cpus())
-    evaluations = _map_concurrently(evaluate, len(cells), workers)
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=drain, name="slmc-evaluate")
+            thread.start()
+            threads.append(thread)
+        start = time.monotonic()
+        run_cells(target, specs, hand_over)
+        batch_ms = (time.monotonic() - start) * 1e3
+        for _ in range(workers):  # after every cell, one stop for each thread
+            ready.put(len(cells))
+        drain()
+    finally:
+        for _ in threads:  # if the batch raised, the threads stop before their next cell
+            ready.put(-1)
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     rows = []
     for (method, epsilon), (delta, n_steps, _, warnings), (w2_gauss, w2_emp, eval_ms), vel_ratio in zip(
         cells, plans, evaluations, vel_ratios

@@ -55,12 +55,16 @@ class GaussianSummary:
             raise InvalidInput("mean dimension does not match covariance")
         if self.cov.is_diagonal:  # its eigenvalues are its entries
             eigs = np.diagonal(self.cov.mat)
-            lo, hi = float(eigs.min()), float(eigs.max())
         else:
-            eigs = np.linalg.eigvalsh(self.cov.mat)
-            lo, hi = float(eigs[0]), float(eigs[-1])
-        if lo < -_PSD_TOL * max(1.0, abs(hi)):
-            raise InvalidInput(f"covariance is indefinite (lambda_min = {lo:.3e})")
+            try:  # a Cholesky factor bounds lambda_min below by -c d eps |S|, far inside the tolerance
+                np.linalg.cholesky(self.cov.mat)
+                eigs = None
+            except np.linalg.LinAlgError:  # singular or indefinite: decide by the spectrum
+                eigs = np.linalg.eigvalsh(self.cov.mat)
+        if eigs is not None:
+            lo, hi = float(eigs.min()), float(eigs.max())
+            if lo < -_PSD_TOL * max(1.0, abs(hi)):
+                raise InvalidInput(f"covariance is indefinite (lambda_min = {lo:.3e})")
         object.__setattr__(self, "mean", mean)
 
 

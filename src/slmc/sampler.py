@@ -25,18 +25,23 @@ steps in the original coordinates instead: its per-mode coefficients are
 permuted when the batch lays out its rows (at the start and at each cell's
 end), and its noise once per block; no step indexes by the permutation.
 
-All chains of all cells of a run move as one batch of (R, 2, d) rows, R
-being the cells' chains together, and each row carries its cell's step
-coefficients. Each step makes one ``grad_oracle`` call on the positions of
-every row still running, one update and one guard check. Rows of dense-A
-cells come first and keep eigen-coordinates; the cells of one batch share
-that V, and each step multiplies their contiguous row slice by it once in
-each direction. Dense cells are ordered by ascending n and the others by
-descending n, so the rows still running are always one contiguous range,
-and a cell's rows leave it after its last step. ``run_chains``,
-``run_chain``, ``step`` and ``coupled_pair_run`` are batches of one cell.
-Each chain draws its noise from its own generator in blocks of K steps; a
-(K, 2, d) draw is the same stream as K (2, d) draws, K keeps a block within
+All chains of all cells of a run move as one batch of R rows, R being the
+cells' chains together, and each row carries its cell's step coefficients.
+Positions and velocities are (2, R, d) planes, each (R, d) plane contiguous,
+and so are the per-row coefficients and each step's noise; a step writes
+straight into the next slot of its noise block's path, so each numpy call
+updates every row at once on contiguous memory. A step makes one
+``grad_oracle`` call on the positions of every row still running and one
+update; the blow-up guard checks each block once, at its end. Rows of
+dense-A cells come first and keep eigen-coordinates beside the path; the
+cells of one batch share that V, and each step multiplies their row slice
+by it once in each direction. Dense cells are ordered by ascending n and
+the others by descending n, so the rows still running are always one
+contiguous range, and a cell's rows leave it after its last step, when
+``run_cells`` can hand the cell over. ``run_chains``, ``run_chain``,
+``step`` and ``coupled_pair_run`` are batches of one cell. Each chain draws
+its noise from its own generator in blocks of K steps; a (K, 2, d) draw is
+the same stream as K (2, d) draws, K keeps a block within
 NOISE_BLOCK_DOUBLES, and blocks are cut at every cell's end. A chain's
 states therefore depend neither on K nor on the other rows of its batch,
 except through the gradient oracle's arithmetic on a batch of rows.
@@ -166,15 +171,6 @@ class StepCache:
         return self.config.A.eig.vectors
 
 
-def _mean(mean_w, mean_g, ns: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Step mean of the eigen-coordinate rows ``ns`` = (..., 2, d) = (y; w)
-    under eigen-coordinate gradients h = g V of shape (..., d)."""
-    out = mean_w * ns[..., 1:, :]
-    out[..., 0, :] += ns[..., 0, :]
-    out -= mean_g * h[..., None, :]
-    return out
-
-
 def kernel_moments(
     state: ChainState, grad: np.ndarray, config: ScalingConfig, delta: float
 ) -> KernelMoments:
@@ -186,8 +182,11 @@ def kernel_moments(
     g = np.asarray(grad, dtype=float)
     if g.shape != (d,) or state.dim != d:
         raise InvalidInput("state/gradient dimension does not match A")
-    ns = np.stack([state.x, state.v]) @ vectors
-    mean = _mean(mean_w, mean_g, ns, g @ vectors) @ vectors.T
+    y, w = np.stack([state.x, state.v]) @ vectors
+    mean = mean_w * w  # (y; w) <- (y + m_wy w - m_gy h, m_ww w - m_gw h) for h = g V
+    mean[0] += y
+    mean -= mean_g * (g @ vectors)
+    mean = mean @ vectors.T
 
     def assemble(coef: np.ndarray) -> np.ndarray:
         out = (vectors * coef) @ vectors.T
@@ -248,15 +247,14 @@ def _checked_cache(inits, target: TargetModel, config: ScalingConfig, delta: flo
 
 
 class _Rows(NamedTuple):
-    """Per-row step coefficients of a batch: ``mean_w``, ``mean_g`` (R, 2, d) and
-    ``factor`` (R, 2, 2, d) as in ``StepCache`` (R is 1 when one cache serves
-    every row), and the label of each row's cell. The first ``dense`` rows step
-    in the eigenbasis ``vectors``. The others step in the original coordinates:
-    for each (lo, hi, unperm) of ``perms``, rows lo..hi-1 have ``mean_w`` and
-    ``mean_g`` permuted by unperm, and so their noise."""
+    """Per-row step coefficients of a batch of R rows: ``mean`` (2, 2, R, d) holds
+    (mean_w, mean_g) and ``factor`` (2, 2, R, d) the factor, as in ``StepCache``
+    with a row axis before the modes, so that each (R, d) plane is contiguous. The
+    first ``dense`` rows step in the eigenbasis ``vectors``. The others step in the
+    original coordinates: for each (lo, hi, unperm) of ``perms``, rows lo..hi-1 have
+    ``mean`` permuted by unperm, and so their noise. ``labels`` names each row's cell."""
 
-    mean_w: np.ndarray
-    mean_g: np.ndarray
+    mean: np.ndarray
     factor: np.ndarray
     perms: tuple
     vectors: np.ndarray | None
@@ -272,16 +270,13 @@ def _batch_rows(parts) -> _Rows:
         raise InvalidInput("the dense-A cells of one batch must share the eigenvectors of A")
     firsts = [sum(counts[:i]) for i in range(len(counts))]
 
-    def stack(field, permute=True):
-        arrays = [getattr(cache, field) for cache in caches]
-        if permute:
-            arrays = [a if c.perm is None else a.take(c.unperm, axis=-1) for a, c in zip(arrays, caches)]
-        return arrays[0][None] if len(arrays) == 1 else np.repeat(np.stack(arrays), counts, axis=0)
+    def rows(arrays):  # (2, 2, d) per cache -> (2, 2, R, d)
+        return np.repeat(np.stack(arrays, axis=2), counts, axis=2)
 
+    means = [np.stack((c.mean_w, c.mean_g)) for c in caches]
     return _Rows(
-        stack("mean_w"),
-        stack("mean_g"),
-        stack("factor", permute=False),
+        rows([m if c.perm is None else m.take(c.unperm, axis=-1) for m, c in zip(means, caches)]),
+        rows([c.factor for c in caches]),
         tuple((a, a + n, c.unperm) for c, a, n in zip(caches, firsts, counts) if c.perm is not None),
         bases[0] if bases else None,
         sum(n for c, n in zip(caches, counts) if c.perm is None),
@@ -289,55 +284,106 @@ def _batch_rows(parts) -> _Rows:
     )
 
 
-def _rotate(z: np.ndarray, rows: _Rows, back: bool = False) -> np.ndarray:
-    """Rows z (R, ..., d) with the first ``rows.dense`` taken into the eigenbasis
-    (z V), or with ``back`` out of it (z V^T); one product on that contiguous slice."""
-    k = rows.dense
-    if k == 0:
-        return z
-    head = z[:k] @ (rows.vectors.T if back else rows.vectors)
-    return head if k == len(z) else np.concatenate((head, z[k:]))
-
-
 def _noise_blocks(rows: _Rows, rngs, n_steps: int):
-    """Yield the correlated (y; w) noise of n_steps steps in blocks (len(rngs), K, 2, d)
-    in each row's own coordinates, row r drawn from ``rngs[r]`` (see the module docstring).
-    Each block is written into the buffer of the one before it, so use a block
-    before drawing the next."""
+    """Yield the correlated (y; w) noise of n_steps steps in blocks (K, 2, len(rngs), d),
+    in each row's own coordinates, row r drawn from ``rngs[r]`` (see the module
+    docstring). Each block is written into the buffer of the one before it, so use
+    a block before drawing the next."""
     r, d = len(rngs), rows.factor.shape[-1]
     block = max(1, min(n_steps, NOISE_BLOCK_DOUBLES // (r * 2 * d)))
-    raw, out = np.empty((r, block, 2, d)), np.empty((r, block, 2, d))
-    factor = rows.factor[:r, None]
-    l_yy, l_wy, l_ww = factor[:, :, 0, 0], factor[:, :, 1, 0], factor[:, :, 1, 1]
+    raw, noise = np.empty((r, block, 2, d)), np.empty((block, 2, r, d))
+    l_yy, l_wy, l_ww = rows.factor[0, 0, :r], rows.factor[1, 0, :r], rows.factor[1, 1, :r]
     for start in range(0, n_steps, block):
         k = min(block, n_steps - start)
         for z, rng in zip(raw, rngs):
             rng.standard_normal(out=z[:k])
-        z, noise = raw[:, :k], out[:, :k]
-        np.multiply(l_yy, z[:, :, 0], out=noise[:, :, 0])  # l_yx = 0
-        np.multiply(l_wy, z[:, :, 0], out=noise[:, :, 1])
-        noise[:, :, 1] += np.multiply(l_ww, z[:, :, 1], out=z[:, :, 1])
+        z, out = raw[:, :k].transpose(1, 2, 0, 3), noise[:k]  # both (k, 2, r, d)
+        np.multiply(l_yy, z[:, 0], out=out[:, 0])  # l_yw = 0
+        np.multiply(l_wy, z[:, 0], out=out[:, 1])
+        out[:, 1] += np.multiply(l_ww, z[:, 1], out=z[:, 1])
         for lo, hi, unperm in rows.perms:
-            noise[lo:hi] = noise[lo:hi].take(unperm, axis=-1)
-        yield noise
+            out[..., lo:hi, :] = out[..., lo:hi, :].take(unperm, axis=-1)
+        yield out
 
 
-def _advance(rows: _Rows, ns: np.ndarray, g: np.ndarray, noise: np.ndarray, step_index=None):
-    """One step of a batch from its working rows ns (R, 2, d), gradients g (R, d) and
-    noise (R or 1, 2, d); returns the new working rows and (x; v) rows. A coordinate
-    beyond BLOWUP_GUARD, or a non-finite one (as a non-finite gradient always gives),
-    raises ``NumericalBlowup`` naming ``step_index`` and the first such row's cell."""
-    out = _mean(rows.mean_w, rows.mean_g, ns, _rotate(g, rows))
-    out += noise
-    xv = _rotate(out, rows, back=True)
-    if not np.abs(xv).max() < BLOWUP_GUARD:
-        bad = int(np.argmin((np.abs(xv) < BLOWUP_GUARD).all(axis=(1, 2))))
-        if np.isfinite(g[bad]).all():
+def _stacked_product(xv: np.ndarray, k: int, matrix: np.ndarray) -> np.ndarray:
+    """The first k rows of the (2, R, d) planes xv times ``matrix``, as planes (2, k, d),
+    by one stacked (k, 2, d) product: each row rounds as in a batch of its own."""
+    return (np.ascontiguousarray(xv[:, :k].swapaxes(0, 1)) @ matrix).swapaxes(0, 1)
+
+
+class _Batch:
+    """Rows that step together: their coefficients ``rows``, their positions and
+    velocities ``xv`` (2, R, d) and, when there are dense rows, the working
+    coordinates ``work`` (2, R, d) the steps update: y = x V, w = v V for the
+    first ``rows.dense`` rows, and x, v for the others."""
+
+    def __init__(self, rows: _Rows, xv: np.ndarray):
+        self.rows, self.xv, self.work = rows, xv, None
+        if rows.dense:
+            self.work = xv.copy()
+            self.work[:, : rows.dense] = _stacked_product(xv, rows.dense, rows.vectors)
+
+    def narrow(self, lo: int, hi: int, rows: _Rows) -> None:
+        """Keep rows lo..hi-1, which step on with the coefficients ``rows``."""
+        self.rows, self.xv = rows, self.xv[:, lo:hi]
+        self.work = self.work[:, lo:hi] if rows.dense else None
+
+    def walk(self, target: TargetModel, rngs, n_steps: int, first: int | None):
+        """Take n_steps steps, the first numbered ``first`` (None: one unnumbered
+        step), with noise from ``rngs``. Yield each noise block's positions and
+        velocities (K, 2, R, d); the next block writes over them."""
+        path = None
+        for noise in _noise_blocks(self.rows, rngs, n_steps):
+            k = len(noise)
+            if path is None:  # the first block is the longest
+                path = np.empty((k + 1,) + self.xv.shape)
+            path[0] = self.xv
+            self.block(target, noise, path[: k + 1], first)
+            yield path[1 : k + 1]
+            first += k
+
+    def block(self, target: TargetModel, noise, path, first) -> None:
+        """Take len(noise) steps from path[0], step t numbered first + t (None:
+        unnumbered), with noise[t] (2, R or 1, d), writing into path[t + 1]. Then,
+        if a coordinate of the block is beyond BLOWUP_GUARD or non-finite (as a
+        non-finite gradient always makes it), raise ``NumericalBlowup`` naming
+        the first such step and its first such row's cell. Numpy reports no
+        overflow or invalid operation in the block, the oracle's included: steps
+        after a trip run on through inf and NaN, and the guard reports the trip."""
+        rows, k = self.rows, self.rows.dense
+        mean_w, mean_g = rows.mean
+        tmp, h = np.empty_like(path[0]), np.empty_like(path[0, 0])
+        grads = []  # each step's gradients, to name a trip's cause
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, n in enumerate(noise):
+                xv, out = path[t], path[t + 1]
+                g = target.grad_oracle(xv[0])
+                grads.append(g)
+                work = xv
+                if k:
+                    work = self.work
+                    np.matmul(g[:k], rows.vectors, out=h[:k])
+                    h[k:] = g[k:]
+                # (y, w) <- (y + m_wy w - m_gy h, m_ww w - m_gw h) + noise
+                np.multiply(mean_w, work[1], out=out)
+                out[0] += work[0]
+                out -= np.multiply(mean_g, h if k else g, out=tmp)
+                out += n
+                if k:
+                    work[...] = out
+                    out[:, :k] = _stacked_product(out, k, rows.vectors.T)
+            self.xv = path[-1]
+            steps = path[1:]
+            if np.abs(steps).max() < BLOWUP_GUARD:
+                return
+            held = (np.abs(steps) < BLOWUP_GUARD).all(axis=(1, 3))
+        t, bad = np.unravel_index(np.argmin(held), held.shape)
+        if np.isfinite(grads[t][bad]).all():
             what = "chain coordinate left the guarded region"
         else:
             what = "gradient oracle returned non-finite values"
-        raise NumericalBlowup(what, step_index, rows.labels[bad])
-    return out, xv
+        raise NumericalBlowup(what, None if first is None else first + int(t), rows.labels[bad])
 
 
 def step(
@@ -346,11 +392,9 @@ def step(
     """Advance one chain by one exact Gaussian step (one gradient call)."""
     if state.dim != cache.dim or target.dim != cache.dim:
         raise InvalidInput("state/target dimension does not match the cache")
-    rows = _batch_rows([(cache, 1, None)])
-    xv = np.stack([state.x, state.v])[None]
-    noise = next(_noise_blocks(rows, (rng,), 1))
-    _, xv = _advance(rows, _rotate(xv, rows), target.grad_oracle(xv[:, 0]), noise[:, 0])
-    return ChainState(x=xv[0, 0], v=xv[0, 1])
+    batch = _Batch(_batch_rows([(cache, 1, None)]), np.stack((state.x, state.v))[:, None])
+    xv = next(batch.walk(target, (rng,), 1, None))[0]
+    return ChainState(x=xv[0, 0], v=xv[1, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,13 +445,15 @@ class CellRun:
         ]
 
 
-def run_cells(target: TargetModel, cells) -> list[CellRun]:
+def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
     """Run every chain of every cell as one batch; one ``CellRun`` per cell.
 
     Each step makes one ``target.grad_oracle`` call on the positions of every
     chain whose cell has steps left, so the run makes max(n_steps) calls, and
     each chain's run is the one ``run_chain`` gives it alone. ``NumericalBlowup``
     reports the first step at which any chain trips, and that chain's cell.
+    ``on_cell(c, run)``, if given, receives cell c's ``CellRun`` as soon as its
+    rows leave the batch, before the batch takes its next step.
     """
     caches = []
     for cell in cells:
@@ -425,13 +471,13 @@ def run_cells(target: TargetModel, cells) -> list[CellRun]:
     bounds = np.cumsum([0] + [len(cells[c].rngs) for c in order]).tolist()
     span = dict(zip(order, zip(bounds, bounds[1:])))
     d = target.dim
-    xv = np.zeros((bounds[-1], 2, d))
+    xv = np.zeros((2, bounds[-1], d))
     for c, cell in enumerate(cells):
-        block = xv[span[c][0] : span[c][1]]
-        block[:, 0] = cell.init.x0
+        a, b = span[c]
+        xv[0, a:b] = cell.init.x0
         if cell.stationary_velocity_init:
-            for row, rng in zip(block, cell.rngs):
-                row[1] = math.sqrt(cell.config.u) * rng.standard_normal(d)
+            for row, rng in zip(xv[1, a:b], cell.rngs):
+                row[:] = math.sqrt(cell.config.u) * rng.standard_normal(d)
 
     steps = [
         cell.burn_in + cell.thin * np.arange(1, (cell.n_steps - cell.burn_in) // cell.thin + 1)
@@ -439,40 +485,37 @@ def run_cells(target: TargetModel, cells) -> list[CellRun]:
     ]
     xs = [np.empty((len(cell.rngs), s.size, d)) for cell, s in zip(cells, steps)]
     vs = [np.empty_like(x) for x in xs]
-    finals = [None] * len(cells)
-    ns, done, at = None, 0, 0  # working rows; steps taken; batch row of xv[0]
+    runs = [None] * len(cells)
+    batch, done, at = None, 0, 0  # rows still stepping; steps taken; batch row of their row 0
     # The rows still running form one range [lo, hi), which shrinks at each cell's end.
     for end in sorted({cell.n_steps for cell in cells}):
         live = [c for c in order if cells[c].n_steps >= end]
         lo, hi = span[live[0]][0], span[live[-1]][1]
-        window = _batch_rows([(caches[c], len(cells[c].rngs), cells[c].label) for c in live])
-        xv = xv[lo - at : hi - at]
-        ns, at = _rotate(xv, window) if ns is None else ns[lo - at : hi - at], lo
+        rows = _batch_rows([(caches[c], len(cells[c].rngs), cells[c].label) for c in live])
+        if batch is None:
+            batch = _Batch(rows, xv)
+        else:
+            batch.narrow(lo - at, hi - at, rows)
+        at = lo
         rngs = [rng for c in live for rng in cells[c].rngs]
-        path = None  # the states of one noise block, (K, rows, 2, d)
-        for noise in _noise_blocks(window, rngs, end - done):
-            k = noise.shape[1]
-            if path is None:  # the first block is the longest
-                path = np.empty((k,) + xv.shape)
-            for t in range(k):
-                g = target.grad_oracle(xv[:, 0])
-                ns, xv = _advance(window, ns, g, noise[:, t], done + t + 1)
-                path[t] = xv
+        for path in batch.walk(target, rngs, end - done, done + 1):
+            k = len(path)
             for c in live:
                 cell, (a, b) = cells[c], span[c]
                 j = max(0, (done - cell.burn_in) // cell.thin)  # states kept before this block
                 first = cell.burn_in + cell.thin * (j + 1) - done - 1  # its index in the block
-                picked = path[first : k : cell.thin, a - lo : b - lo]
-                xs[c][:, j : j + len(picked)] = picked[:, :, 0].swapaxes(0, 1)
-                vs[c][:, j : j + len(picked)] = picked[:, :, 1].swapaxes(0, 1)
+                picked = path[first : k : cell.thin, :, a - lo : b - lo].transpose(1, 2, 0, 3)
+                xs[c][:, j : j + picked.shape[2]] = picked[0]
+                vs[c][:, j : j + picked.shape[2]] = picked[1]
             done += k
-        for c in live:
-            if cells[c].n_steps == end:
-                finals[c] = xv[span[c][0] - lo : span[c][1] - lo]
-    return [
-        CellRun(x, v, s, final, cell.n_steps)
-        for x, v, s, cell, final in zip(xs, vs, steps, cells, finals)
-    ]
+        for c, cell in enumerate(cells):
+            if cell.n_steps == end:
+                a, b = span[c][0] - lo, span[c][1] - lo
+                final = batch.xv[:, a:b].swapaxes(0, 1).copy()
+                runs[c] = CellRun(xs[c], vs[c], steps[c], final, cell.n_steps)
+                if on_cell is not None:
+                    on_cell(c, runs[c])
+    return runs
 
 
 def run_chains(
@@ -520,22 +563,16 @@ def coupled_pair_run(
     its decay rate measures the contraction of the dynamics.
     """
     cache = _checked_cache((init_a, init_b), target, config, delta, n_steps)
-    rows = _batch_rows([(cache, 2, None)])
     xv = np.zeros((2, 2, target.dim))
-    xv[0, 0], xv[1, 0] = init_a.x0, init_b.x0
-    ns = _rotate(xv, rows)
+    xv[0] = init_a.x0, init_b.x0
+    batch = _Batch(_batch_rows([(cache, 2, None)]), xv)
 
     def rho(xv) -> float:
-        dx = xv[0, 0] - xv[1, 0]
-        dq = (xv[0, 0] + xv[0, 1]) - (xv[1, 0] + xv[1, 1])
+        (x, y), (v, w) = xv
+        dx, dq = x - y, (x + v) - (y + w)
         return float(dx @ dx + dq @ dq)
 
-    out = np.empty(n_steps + 1)
-    out[0] = rho(xv)
-    i = 0
-    for noise in _noise_blocks(rows, (rng,), n_steps):
-        for shared in noise.swapaxes(0, 1):
-            i += 1
-            ns, xv = _advance(rows, ns, target.grad_oracle(xv[:, 0]), shared, i)
-            out[i] = rho(xv)
-    return out
+    out = [rho(xv)]
+    for path in batch.walk(target, (rng,), n_steps, 1):
+        out.extend(map(rho, path))
+    return np.array(out)

@@ -1,6 +1,7 @@
 import csv
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,77 @@ class TestConcurrentEvaluation:
         monkeypatch.setattr(experiment, "empirical_w2", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^cell 1$"):
+            run_experiment(self.CONFIG)
+        assert threading.active_count() == before
+
+
+class TestEvaluationOverlapsTheBatch(TestConcurrentEvaluation):
+    """A cell is evaluated while the batch steps the cells that run longer; the
+    tests inherited from TestConcurrentEvaluation run on cells that end apart."""
+
+    # planned cells end at steps 1,430 (scaled eps=1), 3,334, 4,556 and 10,743 (unscaled eps=0.5)
+    CONFIG = ExperimentConfig(
+        target=GAUSS_SPEC, methods=("scaled", "unscaled"), epsilons=(1.0, 0.5), seed=0, chains=2
+    )
+
+    @staticmethod
+    def at_last_step(monkeypatch, hook):
+        """Make the batch's last gradient call return ``hook(gradients)``."""
+        run_cells = experiment.run_cells
+
+        def patched(target, cells, *args):
+            last, calls = max(cell.n_steps for cell in cells), []
+
+            def grad(x):
+                calls.append(len(x))
+                g = target.grad_oracle(x)
+                return hook(g) if len(calls) == last else g
+
+            counted = replace(target, grad_oracle=grad)
+            calls.clear()  # discard the contract check made on construction
+            return run_cells(counted, cells, *args)
+
+        monkeypatch.setattr(experiment, "run_cells", patched)
+
+    def test_shortest_cell_is_evaluated_before_the_batch_ends(self, monkeypatch):
+        evaluated, waited = threading.Event(), []
+        empirical_w2 = experiment.empirical_w2
+
+        def signalling(a, b):
+            w2 = empirical_w2(a, b)
+            evaluated.set()
+            return w2
+
+        monkeypatch.setattr(experiment, "available_cpus", lambda: 2)
+        monkeypatch.setattr(experiment, "empirical_w2", signalling)
+        self.at_last_step(monkeypatch, lambda g: (waited.append(evaluated.wait(10.0)), g)[1])
+        run_experiment(self.CONFIG)
+        assert waited == [True]
+
+    @pytest.mark.parametrize(
+        "error, match",
+        [(NumericalBlowup, "non-finite values in cell 'unscaled eps=0.5'"), (KeyboardInterrupt, None)],
+    )
+    def test_batch_error_is_raised_once_every_thread_is_joined(self, monkeypatch, error, match):
+        # the batch fails at its last step, after a thread has taken a cell whose
+        # evaluation fails too: the batch's error is the one raised
+        started = threading.Event()
+
+        def failing(a, b):
+            started.set()
+            raise RuntimeError("evaluation failed")
+
+        def trip(g):
+            assert started.wait(10.0)
+            if error is KeyboardInterrupt:
+                raise KeyboardInterrupt
+            return g * np.nan
+
+        monkeypatch.setattr(experiment, "available_cpus", lambda: 4)
+        monkeypatch.setattr(experiment, "gaussian_w2", failing)
+        self.at_last_step(monkeypatch, trip)
+        before = threading.active_count()
+        with pytest.raises(error, match=match):
             run_experiment(self.CONFIG)
         assert threading.active_count() == before
 

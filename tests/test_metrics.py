@@ -57,6 +57,28 @@ class TestGaussianW2:
         with pytest.raises(InvalidInput):
             GaussianSummary(mean=np.zeros(2), cov=SymMatrix(np.diag([1.0, -0.5])))
 
+    def test_dense_indefinite_covariance_rejected(self):
+        with pytest.raises(InvalidInput, match="indefinite"):
+            GaussianSummary(mean=np.zeros(2), cov=SymMatrix([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rank_deficient_gram_matrix_passes_through_the_spectrum(self, monkeypatch):
+        # two points in d = 3 with a constant coordinate: the Gram matrix has a zero
+        # row, so Cholesky fails exactly and the eigenvalues decide
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (calls.append(a.shape), eigvalsh(a))[1])
+        summary = moment_summary(SampleCloud.from_points(np.array([[1.0, 0.0, 5.0], [-1.0, 2.0, 5.0]])))
+        assert calls == [(3, 3)]
+        assert np.linalg.matrix_rank(summary.cov.mat) == 1
+
+    def test_positive_definite_covariance_needs_no_spectrum(self, monkeypatch):
+        cov = random_spd(np.random.default_rng(71), 6)
+
+        def refuse(_):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        GaussianSummary(mean=np.zeros(6), cov=cov)
+
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_symmetry(self, seed):

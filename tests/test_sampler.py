@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -627,6 +628,46 @@ class TestRunCells:
         with pytest.raises(NumericalBlowup, match="in cell 'b' \\(step 40\\)") as err:
             run_cells(target, cells)
         assert (err.value.cell, err.value.step_index) == ("b", 40)
+
+    @pytest.mark.parametrize(
+        "cause, step, cell, what",
+        [
+            # alone, a chain checked at every step trips at these steps
+            ("runaway", 13, "diagonal", "chain coordinate left the guarded region"),
+            ("nan", 250, "dense", "gradient oracle returned non-finite values"),
+        ],
+    )
+    def test_trip_inside_a_block_of_a_mixed_batch(self, cause, step, cell, what):
+        # one 400-step block: the steps after the trip run on through overflow and
+        # NaN, yet no warning escapes, and the gradient is called once per step
+        rng = np.random.default_rng(47)
+        target = make_gaussian(np.zeros(3), random_spd(rng, 3, lo=1.0, hi=5.0))
+        init = InitSpec.from_point(target, np.ones(3))
+        calls = []
+
+        def grad(x):
+            calls.append(len(x))
+            g = target.grad_oracle(x)
+            if cause == "nan" and len(calls) == 250:
+                g[1, 2] = np.nan  # the dense cell's second chain
+            return g
+
+        counted = replace(target, grad_oracle=grad)
+        calls.clear()  # discard the contract check made on construction
+        cells = [
+            Cell(init, make_config(random_spd(rng, 3, lo=0.5, hi=2.0)), 0.05, 400,
+                 (np.random.default_rng(1), np.random.default_rng(2)), label="dense"),
+            Cell(init, unscaled_config(target), 20.0 if cause == "runaway" else 0.05, 400,
+                 (np.random.default_rng(3), np.random.default_rng(4)), label="diagonal"),
+        ]
+        assert 400 * 4 * 2 * 3 <= NOISE_BLOCK_DOUBLES
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBlowup) as err:
+                run_cells(counted, cells)
+        assert str(err.value) == f"{what} in cell {cell!r} (step {step})"
+        assert (err.value.step_index, err.value.cell) == (step, cell)
+        assert calls == [4] * 400
 
 
 class TestCoupledPair:

@@ -54,7 +54,7 @@ class GaussianSummary:
         if mean.shape != (self.cov.dim,):
             raise InvalidInput("mean dimension does not match covariance")
         if self.cov.is_diagonal:  # its eigenvalues are its entries
-            eigs = np.diagonal(self.cov.mat)
+            eigs = self.cov.diag
         else:
             try:  # a Cholesky factor bounds lambda_min below by -c d eps |S|, far inside the tolerance
                 np.linalg.cholesky(self.cov.mat)
@@ -109,13 +109,13 @@ def gaussian_w2(a: GaussianSummary, b: GaussianSummary) -> float:
         root_b = spd_sqrt(b.cov, clip_negative=True).mat
         inner = root_b @ a.cov.mat @ root_b
     else:  # the products with the diagonal root of S_b, entry by entry
-        s = np.sqrt(np.clip(np.diagonal(b.cov.mat), 0.0, None))
+        s = np.sqrt(np.clip(b.cov.diag, 0.0, None))
         inner = a.cov.mat * s[:, None]
         inner *= s
     spectrum = np.linalg.eigvalsh(SymMatrix(inner).mat)
     cross = float(np.sqrt(np.clip(spectrum, 0.0, None)).sum())
     mean_term = float(np.sum((a.mean - b.mean) ** 2))
-    trace_term = float(np.trace(a.cov.mat) + np.trace(b.cov.mat) - 2.0 * cross)
+    trace_term = float(a.cov.diag.sum() + b.cov.diag.sum() - 2.0 * cross)
     return float(np.sqrt(mean_term + max(trace_term, 0.0)))
 
 

@@ -18,12 +18,15 @@ s = gamma a d (writing d for delta) each pair moves as
 
 The covariance does not depend on the state, and the cross term is
 structurally nonzero, so each pair is drawn jointly through its closed-form
-lower 2x2 Cholesky factor. For a dense A a step costs two products with V
-(the gradient in, the new state out) plus length-d arithmetic. For a
-diagonal A (the unscaled A = I included) V is a permutation, and the chain
-steps in the original coordinates instead: its per-mode coefficients are
-permuted when the batch lays out its rows (at the start and at each cell's
-end), and its noise once per block; no step indexes by the permutation.
+lower 2x2 Cholesky factor. For a non-diagonal A, stored dense, a step costs
+two products with V (the gradient in, the new state out) plus length-d
+arithmetic. A diagonal A (the unscaled A = I included) is stored as its d
+entries, V is a permutation, and the chain steps in the original
+coordinates instead: its per-mode coefficients are permuted when the batch
+lays out its rows (at the start and at each cell's end), and its noise once
+per block; no step indexes by the permutation, and nothing is permuted when
+the entries are already ascending (the permutation is the identity). Such a
+cell's cache and steps hold no d x d array.
 
 All chains of all cells of a run move as one batch of R rows, R being the
 cells' chains together, and each row carries its cell's step coefficients.
@@ -146,9 +149,10 @@ class StepCache:
     """One step of fixed (A, gamma, u, delta), stored per eigenvalue of A.
 
     ``vectors`` reads the eigenvectors V of A (as columns) off ``config.A.eig``:
-    the stored V of a dense A, or one built on each read when V is a
-    permutation, which no step reads: then ``perm`` (``config.A.eig.perm``)
-    and its inverse ``unperm`` index in place of products with V and V^T.
+    the stored V of a non-diagonal A, or one built on each read when V is a
+    permutation (A diagonal), which no step reads: then ``perm``
+    (``config.A.eig.perm``) and its inverse ``unperm`` index in place of
+    products with V and V^T, and ``unperm`` is None when ``perm`` is the identity.
     Every other array is per mode, indexed by eigenvalue along its last axis:
     ``mean_w`` and ``mean_g`` are the (2, d) rows (y, w) by which the
     step mean weights the velocity w = V^T v and the gradient h = V^T g,
@@ -219,7 +223,7 @@ def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
             f"step covariance is not positive definite at delta = {delta:.3e}"
         )
     perm, unperm = config.A.eig.perm, None
-    if perm is not None:
+    if perm is not None and not np.array_equal(perm, np.arange(perm.size)):
         unperm = np.empty_like(perm)
         unperm[perm] = np.arange(perm.size)  # argsort(perm); a sort would page in ~0.3 MB more
     return StepCache(
@@ -252,7 +256,8 @@ class _Rows(NamedTuple):
     with a row axis before the modes, so that each (R, d) plane is contiguous. The
     first ``dense`` rows step in the eigenbasis ``vectors``. The others step in the
     original coordinates: for each (lo, hi, unperm) of ``perms``, rows lo..hi-1 have
-    ``mean`` permuted by unperm, and so their noise. ``labels`` names each row's cell."""
+    ``mean`` permuted by unperm, and so their noise; a cell whose permutation is the
+    identity has no entry there. ``labels`` names each row's cell."""
 
     mean: np.ndarray
     factor: np.ndarray
@@ -275,9 +280,9 @@ def _batch_rows(parts) -> _Rows:
 
     means = [np.stack((c.mean_w, c.mean_g)) for c in caches]
     return _Rows(
-        rows([m if c.perm is None else m.take(c.unperm, axis=-1) for m, c in zip(means, caches)]),
+        rows([m if c.unperm is None else m.take(c.unperm, axis=-1) for m, c in zip(means, caches)]),
         rows([c.factor for c in caches]),
-        tuple((a, a + n, c.unperm) for c, a, n in zip(caches, firsts, counts) if c.perm is not None),
+        tuple((a, a + n, c.unperm) for c, a, n in zip(caches, firsts, counts) if c.unperm is not None),
         bases[0] if bases else None,
         sum(n for c, n in zip(caches, counts) if c.perm is None),
         tuple(label for _, n, label in parts for _ in range(n)),

@@ -1,14 +1,16 @@
-"""Dense symmetric matrices and functions of their spectrum.
+"""Symmetric matrices and functions of their spectrum.
 
-A ``SymMatrix`` is the one place a matrix is checked and symmetrized,
-and it keeps its own eigendecomposition: ``eig`` runs one full
-symmetric eigensolve on first use and every later reader shares the
-result, so each matrix is decomposed at most once (a diagonal is
-sorted into its decomposition and skips the solver). Matrix functions
-such as inverses and square roots are assembled from it as
-``V diag(fn(w)) V^T`` (or put back on the diagonal when V is a
-permutation); at the moderate dimensions this package targets
-(dense storage, d <= 4096) one eigendecomposition is cheaper and more
+A ``SymMatrix`` is the one place a matrix is checked and symmetrized. It
+holds a dense d x d array, or, for a diagonal made by
+``SymMatrix.diagonal``, only its d entries, so that a diagonal target
+or scaling costs O(d) memory and set-up. It keeps its own
+eigendecomposition: ``eig`` runs one full symmetric eigensolve on first
+use and every later reader shares the result, so each matrix is
+decomposed at most once (a diagonal is sorted into its decomposition
+and skips the solver). Matrix functions such as inverses and square
+roots are assembled from it as ``V diag(fn(w)) V^T``, or put back on
+the diagonal when V is a permutation; at the moderate dimensions this
+package targets (d <= 4096) one eigendecomposition is cheaper and more
 flexible than scheme-specific algorithms. Nothing here adds jitter: a
 matrix outside the domain of a function is an error.
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidInput, SingularMatrix
 
-#: Dense d x d storage is assumed throughout; larger inputs are rejected.
+#: Largest supported dimension, dense or diagonal; larger inputs are rejected.
 MAX_DIM = 4096
 
 _SYM_RTOL = 1e-12
@@ -52,25 +54,20 @@ class EigenPair:
         return vectors
 
 
-@dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """A dense symmetric matrix, symmetrized on construction.
+    """A symmetric matrix, checked on construction and read-only.
 
-    Inputs must already be symmetric to within 1e-12 relative tolerance;
-    the stored array is ``(M + M^T)/2`` and is marked read-only.
+    ``SymMatrix(M)`` stores a dense matrix: M must already be symmetric to
+    within 1e-12 relative tolerance, and the stored array is ``(M + M^T)/2``.
+    ``SymMatrix.diagonal(entries)`` stores a diagonal matrix as its entry
+    vector alone; its dense ``mat`` is built only when first read.
     """
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=float)  # only read: the stored array is new
+    def __init__(self, mat):
+        m = np.asarray(mat, dtype=float)  # only read: the stored array is new
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
-        d = m.shape[0]
-        if d == 0 or d > MAX_DIM:
-            raise InvalidInput(f"dimension {d} outside supported range 1..{MAX_DIM}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInput("matrix has non-finite entries")
+        _check_entries(m)
         scratch = np.subtract(m, m.T)
         asym = float(np.abs(scratch, out=scratch).max())
         scale = max(1.0, float(m.max()), -float(m.min()))
@@ -79,11 +76,38 @@ class SymMatrix:
         sym = np.add(m, m.T, out=scratch)
         sym *= 0.5
         sym.setflags(write=False)
-        object.__setattr__(self, "mat", sym)
+        self._dense, self._entries = sym, None
+
+    @classmethod
+    def diagonal(cls, entries) -> "SymMatrix":
+        """The diagonal matrix with ``entries`` on its diagonal, stored as a
+        read-only copy of that vector."""
+        e = np.array(entries, dtype=float)
+        if e.ndim != 1:
+            raise InvalidInput(f"expected a vector of diagonal entries, got shape {e.shape}")
+        _check_entries(e)
+        e.setflags(write=False)
+        out = cls.__new__(cls)
+        out._dense, out._entries = None, e
+        return out
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense d x d array, read-only; a diagonal's is built on first read and kept."""
+        if self._dense is None:
+            dense = np.diag(self._entries)
+            dense.setflags(write=False)
+            self._dense = dense
+        return self._dense
+
+    @property
+    def diag(self) -> np.ndarray:
+        """The main diagonal, read-only: a diagonal's stored entries, a view of a dense matrix's."""
+        return self._entries if self._entries is not None else np.diagonal(self._dense)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.diag.size
 
     @cached_property
     def eig(self) -> EigenPair:
@@ -93,11 +117,11 @@ class SymMatrix:
         ``diag[order]`` and ``perm = order``, whose vectors are ``I[:, order]``
         (tied entries keep their index order, which ``eigh`` does not promise)."""
         if self.is_diagonal:
-            entries = np.diagonal(self.mat)
+            entries = self.diag
             perm = np.argsort(entries, kind="stable")
             values, vectors = entries[perm], None
         else:
-            values, vectors = np.linalg.eigh(self.mat)
+            values, vectors = np.linalg.eigh(self._dense)
             perm = None
         for array in (values, vectors, perm):
             if array is not None:
@@ -106,12 +130,19 @@ class SymMatrix:
 
     @property
     def is_diagonal(self) -> bool:
-        """Whether every off-diagonal entry is zero."""
-        return np.count_nonzero(self.mat) == np.count_nonzero(np.diagonal(self.mat))
+        """Whether every off-diagonal entry is zero (O(1) for ``diagonal``'s matrices)."""
+        if self._entries is not None:
+            return True
+        return np.count_nonzero(self._dense) == np.count_nonzero(self.diag)
 
-    @classmethod
-    def diagonal(cls, entries) -> "SymMatrix":
-        return cls(np.diag(np.asarray(entries, dtype=float)))
+
+def _check_entries(m: np.ndarray) -> None:
+    """Reject a dimension outside 1..MAX_DIM and any non-finite entry."""
+    d = m.shape[0]
+    if d == 0 or d > MAX_DIM:
+        raise InvalidInput(f"dimension {d} outside supported range 1..{MAX_DIM}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInput("matrix has non-finite entries")
 
 
 def spd_apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> SymMatrix:
@@ -121,7 +152,8 @@ def spd_apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> SymMat
     transformed eigenvalues as a vector of the same shape, else
     ``InvalidInput`` is raised. The result is ``V diag(fn(w)) V^T``,
     built from the decomposition kept on ``m``; when V is a permutation
-    the values are put back on the diagonal instead.
+    the values are put back on the diagonal instead, and the result is
+    stored as a diagonal.
 
     Raises ``SingularMatrix`` when ``fn`` produces a non-finite value on
     any eigenvalue, e.g. inverting a singular matrix.

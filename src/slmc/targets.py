@@ -125,8 +125,7 @@ def make_gaussian(
     lo, hi = float(spectrum[0]), float(spectrum[-1])
     if lo <= 0.0:
         raise InvalidInput(f"precision matrix is not SPD (lambda_min = {lo:.3e})")
-    p = precision.mat
-    diag = None if precision.eig.perm is None else np.diagonal(p)
+    p, diag = (precision.mat, None) if precision.eig.perm is None else (None, precision.diag)
 
     def value(x: np.ndarray) -> float:
         r = x - mean
@@ -310,7 +309,7 @@ def sample_exact_positions(
     if cov is None:
         raise InvalidInput(f"target {target.name!r} has no closed-form sampler")
     if cov.eig.perm is not None:
-        variances = np.diagonal(cov.mat)
+        variances = cov.diag
         if not (variances > 0.0).all():
             raise NotPositiveDefinite("position covariance has a non-positive variance")
         return target.minimizer + rng.standard_normal((count, target.dim)) * np.sqrt(variances)

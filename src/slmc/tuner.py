@@ -74,14 +74,17 @@ def estimate_theta(
     the returned estimate minimizes that value over candidates (ties go
     to the first index). Because the probe set is finite the estimate is
     a lower bound on the true oscillation. Targets whose Hessian is
-    flagged constant short-circuit to exactly zero.
+    flagged constant short-circuit to exactly zero and read no probe, so
+    their probe set may be empty.
     """
-    if len(candidate_ys) == 0 or len(probe_xs) == 0:
-        raise InvalidInput("candidate and probe sets must be nonempty")
+    if len(candidate_ys) == 0:
+        raise InvalidInput("candidate set must be nonempty")
     if target.hess_constant:
         y0 = np.asarray(candidate_ys[0], dtype=float)
         m_hat = float(target.hess_oracle(y0).eig.values[0])
         return ThetaEstimate(theta=0.0, y_hat=y0, m_hat=m_hat)
+    if len(probe_xs) == 0:
+        raise InvalidInput("probe set must be nonempty")
 
     probe_hessians = [target.hess_oracle(np.asarray(x, dtype=float)).mat for x in probe_xs]
     best_value = math.inf
@@ -108,11 +111,14 @@ def default_theta_probes(
     """Default anchor/probe sets: the minimizer, plus points on spheres around it.
 
     Probe radii are {1, 2, 4} * sqrt(d/m), the scale on which the
-    stationary distribution concentrates.
+    stationary distribution concentrates. A target with a constant Hessian
+    gets no probes and draws nothing from ``rng``: its theta is exactly zero.
     """
     base = math.sqrt(target.dim / target.m)
     candidates = [target.minimizer.copy()]
     probes = []
+    if target.hess_constant:
+        return candidates, probes
     for radius in (1.0, 2.0, 4.0):
         z = rng.standard_normal((per_radius, target.dim))
         norms = np.linalg.norm(z, axis=1)
@@ -131,7 +137,10 @@ def scaled_params(target: TargetModel, theta_result: ThetaEstimate) -> ScalingCo
     # away eigensolver round-off so kappa_hat <= kappa holds exactly.
     m_hat = max(theta_result.m_hat, target.m)
     u = 2.0 / m_hat
-    a = SymMatrix(u * h_anchor.mat)
+    if h_anchor.is_diagonal:  # so is u * H, kept as its entries
+        a = SymMatrix.diagonal(u * h_anchor.diag)
+    else:
+        a = SymMatrix(u * h_anchor.mat)
     if theta_result.theta > 0.5:
         warnings.warn(
             f"theta = {theta_result.theta:.3g} exceeds 1/2: the convergence "
@@ -153,7 +162,7 @@ def scaled_params(target: TargetModel, theta_result: ThetaEstimate) -> ScalingCo
 def unscaled_config(target: TargetModel) -> ScalingConfig:
     """Identity-scaling baseline: A = I, gamma = 2, u = 1/L."""
     return ScalingConfig(
-        A=SymMatrix(np.eye(target.dim)),
+        A=SymMatrix.diagonal(np.ones(target.dim)),
         u=1.0 / target.L,
         gamma=2.0,
         theta=0.0,

@@ -1,6 +1,7 @@
 import csv
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,8 @@ from slmc.experiment import (
     run_experiment,
     splitmix64,
 )
-from slmc.sampler import make_step_cache
+from slmc.sampler import Cell, make_step_cache, run_cells
+from slmc.spd import MAX_DIM
 
 GAUSS_SPEC = TargetSpecification(kind="gaussian", precision_diag=(1.0, 4.0))
 
@@ -176,6 +178,39 @@ class TestRunExperiment:
 
         with pytest.raises(TheoremInapplicable):
             run_experiment(config)
+
+
+class TestDiagonalTargetMemory:
+    def test_set_up_and_steps_hold_no_dense_matrix(self):
+        # a diagonal target at the largest dimension: its precision, position
+        # covariance and both A's stay diagonal, so nothing here is d x d
+        precision = tuple(np.geomspace(1.0, 100.0, MAX_DIM).tolist())
+        config = small_config(
+            target=TargetSpecification(kind="gaussian", precision_diag=precision),
+            methods=("scaled", "unscaled"),
+            epsilons=(1.0,),
+            seed=3,
+            delta_override=0.05,
+            n_override=4,
+            burn_in=1,
+        )
+        tracemalloc.start()
+        try:
+            setup = prepare_run(config)
+            cells = []
+            for c, method in enumerate(config.methods):
+                assert setup.plan(method, 1.0).n_steps > 0
+                delta, n_steps, burn_in, _ = setup.cell(config, method, 1.0)
+                chain_config = setup.chain_config(method)
+                make_step_cache(chain_config, delta)
+                rngs = tuple(np.random.default_rng(chain_seed(3, c, k)) for k in range(config.chains))
+                cells.append(Cell(setup.init, chain_config, delta, n_steps, rngs, burn_in=burn_in))
+            runs = run_cells(setup.target, cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.isfinite(run.final).all() for run in runs)
+        assert peak < 16 << 20  # one MAX_DIM x MAX_DIM array of doubles is 128 MiB
 
 
 class TestConcurrentEvaluation:

@@ -310,6 +310,27 @@ class TestIndexPath:
         ref = step(state, target, dense, np.random.default_rng(8))
         assert np.array_equal(out.x, ref.x) and np.array_equal(out.v, ref.v)
 
+    @pytest.mark.parametrize("method", ["scaled", "unscaled"])
+    @pytest.mark.parametrize("entries", [[1.0, 2.0, 4.0], [4.0, 1.0, 2.0]], ids=["sorted", "unsorted"])
+    def test_identity_permutation_gathers_nothing(self, method, entries):
+        # an ascending diagonal A has the identity permutation: the cache records
+        # no unperm, and an explicit identity gather gives the same steps bit for bit
+        target = make_gaussian(np.array([0.5, -1.0, 2.0]), SymMatrix.diagonal(entries))
+        if method == "scaled":
+            config = scaled_params(target, estimate_theta(target, [np.zeros(3)], []))
+        else:
+            config = unscaled_config(target)
+        cache = make_step_cache(config, 0.1)
+        identity = np.array_equal(cache.perm, np.arange(3))
+        assert identity == (method == "unscaled" or entries == sorted(entries))
+        assert (cache.unperm is None) == identity
+        gathered = replace(cache, unperm=np.arange(3)) if identity else cache
+        out = ref = ChainState(x=np.array([0.3, 1.2, -0.8]), v=np.array([-0.4, 0.1, 0.9]))
+        rng_out, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(3):
+            out, ref = step(out, target, cache, rng_out), step(ref, target, gathered, rng_ref)
+            assert np.array_equal(out.x, ref.x) and np.array_equal(out.v, ref.v)
+
     def test_dense_a_keeps_the_matrix_products(self):
         cache = make_step_cache(make_config(random_spd(np.random.default_rng(43), 3)), 0.1)
         assert cache.perm is None and cache.unperm is None

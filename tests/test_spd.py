@@ -1,4 +1,5 @@
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_config, random_spd
-from slmc import InvalidInput, SingularMatrix, SymMatrix, make_step_cache, spd_apply_fn
+from slmc import (
+    GaussianSummary,
+    InvalidInput,
+    SampleCloud,
+    SingularMatrix,
+    SymMatrix,
+    gaussian_w2,
+    make_gaussian,
+    make_step_cache,
+    moment_summary,
+    sample_exact_positions,
+    spd_apply_fn,
+    spd_sqrt,
+)
+from slmc.spd import MAX_DIM
+
+SORTED_DIAGONALS = pytest.mark.parametrize(
+    "entries",
+    [
+        [1.0],
+        [1.0, 1.0, 1.0],
+        [0.5, 2.0, 2.0, 2.0, 7.0],
+        [-3.0, 0.0, 0.0, 1e-300, 4.0],
+        np.repeat(np.geomspace(1.0, 100.0, 40), 3),
+        np.ones(512),
+    ],
+    ids=["d1", "identity", "ties", "signs-and-zeros", "geomspace-ties", "i512"],
+)
+UNSORTED_DIAGONALS = pytest.mark.parametrize(
+    "entries",
+    [
+        1.0 / np.geomspace(1.0, 100.0, 512),
+        [3.0, 1.0, 2.0, 1.0, 5.0],
+        [5.0, 5.0, 3.0, 3.0, 1.0, 1.0],
+        np.random.default_rng(10).standard_normal(300),
+        np.random.default_rng(11).permutation(np.geomspace(1.0, 100.0, 512)),
+    ],
+    ids=["descending", "ties", "descending-ties", "random", "shuffled"],
+)
 
 
 class TestSymMatrix:
@@ -43,6 +82,37 @@ class TestSymMatrix:
             with pytest.raises(ValueError):
                 array[0] = 5.0
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[np.nan, 1.0], [1.0, np.inf], [-np.inf], [], np.ones(MAX_DIM + 1), np.eye(2), 3.0],
+        ids=["nan", "inf", "minus-inf", "empty", "oversized", "matrix", "scalar"],
+    )
+    def test_diagonal_rejects_bad_entries(self, entries):
+        with pytest.raises(InvalidInput):
+            SymMatrix.diagonal(entries)
+
+    def test_diagonal_keeps_a_read_only_copy_of_its_entries(self):
+        entries = np.array([3.0, 1.0, 2.0])
+        m = SymMatrix.diagonal(entries)
+        entries[0] = 9.0
+        assert np.array_equal(m.diag, [3.0, 1.0, 2.0])
+        assert m.dim == 3 and m.is_diagonal
+        for array in (m.diag, m.mat):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+        assert m.mat is m.mat
+
+    def test_diagonal_builds_no_dense_array_until_mat_is_read(self):
+        tracemalloc.start()
+        try:
+            m = SymMatrix.diagonal(np.geomspace(1.0, 100.0, MAX_DIM))
+            assert m.dim == MAX_DIM and m.is_diagonal and m.eig.perm is not None
+            spd_sqrt(spd_apply_fn(m, lambda w: 1.0 / w)).eig
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one MAX_DIM x MAX_DIM array is 128 MiB
+
     def test_step_cache_shares_the_decomposition_of_a(self):
         config = make_config(random_spd(np.random.default_rng(4), 3))
         assert make_step_cache(config, 0.1).vectors is config.A.eig.vectors
@@ -56,18 +126,7 @@ class TestSymEig:
         assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < d * d * 8
         assert np.array_equal(pair.vectors, np.linalg.eigh(np.diag(np.arange(1.0, d + 1.0)))[1])
 
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            [1.0],
-            [1.0, 1.0, 1.0],
-            [0.5, 2.0, 2.0, 2.0, 7.0],
-            [-3.0, 0.0, 0.0, 1e-300, 4.0],
-            np.repeat(np.geomspace(1.0, 100.0, 40), 3),
-            np.ones(512),
-        ],
-        ids=["d1", "identity", "ties", "signs-and-zeros", "geomspace-ties", "i512"],
-    )
+    @SORTED_DIAGONALS
     def test_sorted_diagonal_matches_eigh_without_calling_it(self, entries, monkeypatch):
         mat = np.diag(np.asarray(entries, dtype=float))
         values, vectors = np.linalg.eigh(mat)
@@ -83,17 +142,7 @@ class TestSymEig:
         for array in (pair.values, pair.vectors, pair.perm):
             assert not array.flags.writeable
 
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            1.0 / np.geomspace(1.0, 100.0, 512),
-            [3.0, 1.0, 2.0, 1.0, 5.0],
-            [5.0, 5.0, 3.0, 3.0, 1.0, 1.0],
-            np.random.default_rng(10).standard_normal(300),
-            np.random.default_rng(11).permutation(np.geomspace(1.0, 100.0, 512)),
-        ],
-        ids=["descending", "ties", "descending-ties", "random", "shuffled"],
-    )
+    @UNSORTED_DIAGONALS
     def test_any_diagonal_matches_eigh_without_calling_it(self, entries, monkeypatch):
         mat = np.diag(np.asarray(entries, dtype=float))
         values, vectors = np.linalg.eigh(mat)
@@ -196,3 +245,72 @@ class TestApplyFn:
         m = random_spd(rng, d, lo=1e-4, hi=1e4)  # condition number <= 1e8
         inverse = spd_apply_fn(m, lambda w: 1.0 / w)
         assert np.allclose(inverse.mat @ m.mat, np.eye(d), atol=1e-9)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestDiagonalStorage:
+    """``SymMatrix.diagonal(e)`` keeps only e, and gives what the dense
+    ``SymMatrix(np.diag(e))`` gives, bit for bit."""
+
+    @staticmethod
+    def pair(entries):
+        entries = np.asarray(entries, dtype=float)
+        return SymMatrix.diagonal(entries), SymMatrix(np.diag(entries))
+
+    @SORTED_DIAGONALS
+    def test_sorted_matches_dense(self, entries):
+        self.check(entries)
+
+    @UNSORTED_DIAGONALS
+    def test_unsorted_matches_dense(self, entries):
+        self.check(entries)
+
+    def check(self, entries):
+        stored, dense = self.pair(entries)
+        assert same_bits(stored.mat, dense.mat)
+        assert same_bits(stored.diag, dense.diag)
+        assert same_bits(stored.eig.values, dense.eig.values)
+        assert same_bits(stored.eig.perm, dense.eig.perm)
+        assert same_bits(stored.eig.vectors, dense.eig.vectors)
+        fns = [np.exp, lambda w: np.sqrt(np.clip(w, 0.0, None))]
+        if np.min(entries) > 0.0:
+            fns.append(lambda w: 1.0 / w)
+        for fn in fns:
+            out, ref = spd_apply_fn(stored, fn), spd_apply_fn(dense, fn)
+            assert same_bits(out.diag, ref.diag) and same_bits(out.mat, ref.mat)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [3.0],
+            [1.0, 4.0],
+            [4.0, 1.0, 2.0],
+            [5.0, 5.0, 3.0, 3.0, 1.0, 1.0],
+            np.geomspace(100.0, 1.0, 512),
+            np.random.default_rng(11).permutation(np.geomspace(1.0, 100.0, 512)),
+        ],
+        ids=["d1", "sorted", "unsorted", "ties", "descending", "shuffled"],
+    )
+    def test_targets_and_w2_match_dense(self, entries):
+        # the entries serve as a precision and, stored either way, as a covariance
+        stored, dense = self.pair(entries)
+        d = stored.dim
+        rng = np.random.default_rng(d)
+        mean, x = rng.standard_normal(d), rng.standard_normal((d + 8, d))
+        targets = [make_gaussian(mean, p) for p in (stored, dense)]
+        assert same_bits(targets[0].grad_oracle(x), targets[1].grad_oracle(x))
+        assert same_bits(targets[0].position_cov.mat, targets[1].position_cov.mat)
+        draws = [
+            sample_exact_positions(replace(targets[0], position_cov=cov), d + 8, np.random.default_rng(12))
+            for cov in (stored, dense)
+        ]
+        assert same_bits(draws[0], draws[1])
+        sample = moment_summary(SampleCloud.from_points(draws[0] + 0.1 * x))
+        exact = [GaussianSummary(mean=mean, cov=cov) for cov in (stored, dense)]
+        assert gaussian_w2(sample, exact[0]) == gaussian_w2(sample, exact[1])
+        assert gaussian_w2(exact[0], sample) == gaussian_w2(exact[1], sample)
+        assert gaussian_w2(exact[0], exact[0]) == gaussian_w2(exact[1], exact[1])

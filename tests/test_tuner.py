@@ -70,6 +70,19 @@ class TestEstimateTheta:
         with pytest.raises(InvalidInput):
             estimate_theta(logistic_target, [np.zeros(3)], [])
 
+    def test_constant_hessian_draws_and_reads_no_probes(self, logistic_target):
+        target = make_gaussian(np.ones(3), SymMatrix.diagonal([4.0, 1.0, 2.0]))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        candidates, probes = default_theta_probes(target, rng)
+        assert probes == [] and rng.bit_generator.state == state
+        assert len(candidates) == 1 and np.array_equal(candidates[0], target.minimizer)
+        est = estimate_theta(target, candidates, probes)
+        assert est.theta == 0.0 and est.m_hat == 1.0
+        with pytest.raises(InvalidInput):
+            estimate_theta(target, [], [np.zeros(3)])
+        assert len(default_theta_probes(logistic_target, rng)[1]) == 3 * 64
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_tuning_inequalities(self, logistic_target):
         rng = np.random.default_rng(1)
@@ -108,6 +121,16 @@ class TestScaledParams:
         target = make_gaussian(np.zeros(2), SymMatrix(np.diag([3.0, 11.0])))
         config = scaled_params(target, estimate_theta(target, [np.zeros(2)], [np.zeros(2)]))
         assert np.linalg.eigvalsh(config.A.mat)[0] >= 2.0 - 1e-12
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["diagonal", "dense"])
+    def test_diagonal_hessian_gives_a_diagonal_a(self, stored):
+        entries = np.array([4.0, 1.0, 2.0])
+        precision = SymMatrix.diagonal(entries) if stored else SymMatrix(np.diag(entries))
+        target = make_gaussian(np.zeros(3), precision)
+        config = scaled_params(target, estimate_theta(target, [np.zeros(3)], []))
+        assert config.A.is_diagonal
+        assert np.array_equal(config.A.diag, 2.0 * entries)
+        assert np.array_equal(config.A.mat, SymMatrix(2.0 * np.diag(entries)).mat)
 
     def test_large_theta_warns_not_raises(self):
         target = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))
@@ -186,6 +209,11 @@ class TestUnscaledConfig:
     def test_isotropic_unit(self):
         target = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))
         assert unscaled_config(target).u == 1.0
+
+    def test_identity_is_stored_as_its_diagonal(self):
+        config = unscaled_config(make_gaussian(np.zeros(3), SymMatrix.diagonal([2.0, 3.0, 4.0])))
+        assert config.A.is_diagonal and np.array_equal(config.A.diag, np.ones(3))
+        assert np.array_equal(config.A.eig.perm, np.arange(3))
 
     def test_identity_scaling_floor(self):
         target = make_gaussian(np.zeros(3), SymMatrix(np.diag([2.0, 3.0, 4.0])))

@@ -98,8 +98,8 @@ def gaussian_w2(a: GaussianSummary, b: GaussianSummary) -> float:
     """Closed-form W2 between Gaussians:
     sqrt(|mu_a - mu_b|^2 + tr(S_a + S_b - 2 (S_b^{1/2} S_a S_b^{1/2})^{1/2})).
 
-    The last trace is the sum of the roots of the inner matrix's
-    eigenvalues; a diagonal S_b scales S_a entry by entry. Round-off can
+    The last trace is the sum of the roots of the eigenvalues of the inner
+    matrix, read off one triangle; a diagonal S_b scales S_a entry by entry. Round-off can
     push the trace term slightly negative; it is clamped at zero, as are
     negative covariance eigenvalues inside the roots.
     """
@@ -112,7 +112,7 @@ def gaussian_w2(a: GaussianSummary, b: GaussianSummary) -> float:
         s = np.sqrt(np.clip(b.cov.diag, 0.0, None))
         inner = a.cov.mat * s[:, None]
         inner *= s
-    spectrum = np.linalg.eigvalsh(SymMatrix(inner).mat)
+    spectrum = np.linalg.eigvalsh(inner)
     cross = float(np.sqrt(np.clip(spectrum, 0.0, None)).sum())
     mean_term = float(np.sum((a.mean - b.mean) ** 2))
     trace_term = float(a.cov.diag.sum() + b.cov.diag.sum() - 2.0 * cross)

@@ -18,36 +18,37 @@ s = gamma a d (writing d for delta) each pair moves as
 
 The covariance does not depend on the state, and the cross term is
 structurally nonzero, so each pair is drawn jointly through its closed-form
-lower 2x2 Cholesky factor. For a non-diagonal A, stored dense, a step costs
-two products with V (the gradient in, the new state out) plus length-d
-arithmetic. A diagonal A (the unscaled A = I included) is stored as its d
-entries, V is a permutation, and the chain steps in the original
-coordinates instead: its per-mode coefficients are permuted when the batch
+lower 2x2 Cholesky factor. A diagonal A (the unscaled A = I included) is
+stored as its d entries, V is a permutation, and the chain steps in the
+original coordinates: its per-mode coefficients are permuted when the batch
 lays out its rows (at the start and at each cell's end), and its noise once
 per block; no step indexes by the permutation, and nothing is permuted when
 the entries are already ascending (the permutation is the identity). Such a
-cell's cache and steps hold no d x d array.
+cell's cache and steps hold no d x d array. A batch with a dense A changes
+variables once instead: it steps in y = x V, where A is diagonal, on the
+target's gradient there (``TargetModel.grad_in_frame``), so no step
+multiplies by V. Its other A's must be diagonal in y too: the same A, or a
+multiple of I, whose noise is drawn in x and turned into y once per block.
+States are turned into y at the start and back into x once per block.
 
 All chains of all cells of a run move as one batch of R rows, R being the
 cells' chains together, and each row carries its cell's step coefficients.
 Positions and velocities are (2, R, d) planes, each (R, d) plane contiguous,
 and so are the per-row coefficients and each step's noise; a step writes
 straight into the next slot of its noise block's path, so each numpy call
-updates every row at once on contiguous memory. A step makes one
-``grad_oracle`` call on the positions of every row still running and one
-update; the blow-up guard checks each block once, at its end. Rows of
-dense-A cells come first and keep eigen-coordinates beside the path; the
-cells of one batch share that V, and each step multiplies their row slice
-by it once in each direction. Dense cells are ordered by ascending n and
-the others by descending n, so the rows still running are always one
-contiguous range, and a cell's rows leave it after its last step, when
-``run_cells`` can hand the cell over. ``run_chains``, ``run_chain``,
-``step`` and ``coupled_pair_run`` are batches of one cell. Each chain draws
-its noise from its own generator in blocks of K steps; a (K, 2, d) draw is
-the same stream as K (2, d) draws, K keeps a block within
+updates every row at once on contiguous memory. A step makes one gradient
+call on the positions of every row still running and one update; the
+blow-up guard checks each block once, at its end, in the batch's
+coordinates. Cells are ordered by descending n, so the rows still running
+are always one contiguous range, and a cell's rows leave it after its last
+step, when ``run_cells`` can hand the cell over. ``run_chains``,
+``run_chain``, ``step`` and ``coupled_pair_run`` are batches of one cell.
+Each chain draws its noise from its own generator in blocks of K steps; a
+(K, 2, d) draw is the same stream as K (2, d) draws, K keeps a block within
 NOISE_BLOCK_DOUBLES, and blocks are cut at every cell's end. A chain's
 states therefore depend neither on K nor on the other rows of its batch,
-except through the gradient oracle's arithmetic on a batch of rows.
+except through the gradient oracle's arithmetic on a batch of rows and, for
+a multiple of I beside a dense A, the rounding of the change of variables.
 """
 
 from __future__ import annotations
@@ -148,11 +149,10 @@ def _modes(config: ScalingConfig, delta: float):
 class StepCache:
     """One step of fixed (A, gamma, u, delta), stored per eigenvalue of A.
 
-    ``vectors`` reads the eigenvectors V of A (as columns) off ``config.A.eig``:
-    the stored V of a non-diagonal A, or one built on each read when V is a
-    permutation (A diagonal), which no step reads: then ``perm``
-    (``config.A.eig.perm``) and its inverse ``unperm`` index in place of
-    products with V and V^T, and ``unperm`` is None when ``perm`` is the identity.
+    ``perm`` is ``config.A.eig.perm``: for a diagonal A, V is a permutation, and
+    ``perm`` and its inverse ``unperm`` index in place of products with V and
+    V^T (``unperm`` is None when ``perm`` is the identity). For a non-diagonal A
+    both are None, and a batch steps in the eigenvectors ``config.A.eig.vectors``.
     Every other array is per mode, indexed by eigenvalue along its last axis:
     ``mean_w`` and ``mean_g`` are the (2, d) rows (y, w) by which the
     step mean weights the velocity w = V^T v and the gradient h = V^T g,
@@ -169,10 +169,6 @@ class StepCache:
     mean_w: np.ndarray
     mean_g: np.ndarray
     factor: np.ndarray
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return self.config.A.eig.vectors
 
 
 def kernel_moments(
@@ -206,7 +202,7 @@ def kernel_moments(
 
 
 def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
-    """Eigenvectors of A plus per-mode mean coefficients and noise factors.
+    """Per-mode mean coefficients and noise factors of one step of (config, delta).
 
     Raises ``NotPositiveDefinite`` when some mode's 2x2 covariance does
     not factor in floating point, e.g. when delta is so small that
@@ -253,45 +249,43 @@ def _checked_cache(inits, target: TargetModel, config: ScalingConfig, delta: flo
 class _Rows(NamedTuple):
     """Per-row step coefficients of a batch of R rows: ``mean`` (2, 2, R, d) holds
     (mean_w, mean_g) and ``factor`` (2, 2, R, d) the factor, as in ``StepCache``
-    with a row axis before the modes, so that each (R, d) plane is contiguous. The
-    first ``dense`` rows step in the eigenbasis ``vectors``. The others step in the
-    original coordinates: for each (lo, hi, unperm) of ``perms``, rows lo..hi-1 have
-    ``mean`` permuted by unperm, and so their noise; a cell whose permutation is the
-    identity has no entry there. ``labels`` names each row's cell."""
+    with a row axis before the modes, so that each (R, d) plane is contiguous. Each
+    (lo, hi, turn) of ``turns`` maps the per-mode noise of rows lo..hi-1 into the
+    batch's coordinates: by a diagonal A's inverse permutation, as their ``mean``
+    (none for the identity), or, for a multiple of I beside a dense A, by its V.
+    ``labels`` names each row's cell."""
 
     mean: np.ndarray
     factor: np.ndarray
-    perms: tuple
-    vectors: np.ndarray | None
-    dense: int
+    turns: tuple
     labels: tuple
 
 
-def _batch_rows(parts) -> _Rows:
-    """The rows of ``parts``, (cache, rows, label) triples with every dense cache first."""
+def _batch_rows(parts, vectors: np.ndarray | None) -> _Rows:
+    """The rows of ``parts``, (cache, rows, label) triples, in y = x ``vectors`` (x if None)."""
     caches, counts = [cache for cache, _, _ in parts], [n for _, n, _ in parts]
-    bases = [cache.vectors for cache in caches if cache.perm is None]
-    if any(not np.array_equal(basis, bases[0]) for basis in bases[1:]):
-        raise InvalidInput("the dense-A cells of one batch must share the eigenvectors of A")
     firsts = [sum(counts[:i]) for i in range(len(counts))]
 
     def rows(arrays):  # (2, 2, d) per cache -> (2, 2, R, d)
         return np.repeat(np.stack(arrays, axis=2), counts, axis=2)
 
+    def turn(cache):
+        if vectors is not None:  # a dense A's modes are the frame, a multiple of I's noise turns
+            return None if cache.perm is None else (lambda z: z @ vectors)
+        return None if cache.unperm is None else (lambda z: z.take(cache.unperm, axis=-1))
+
     means = [np.stack((c.mean_w, c.mean_g)) for c in caches]
     return _Rows(
         rows([m if c.unperm is None else m.take(c.unperm, axis=-1) for m, c in zip(means, caches)]),
         rows([c.factor for c in caches]),
-        tuple((a, a + n, c.unperm) for c, a, n in zip(caches, firsts, counts) if c.unperm is not None),
-        bases[0] if bases else None,
-        sum(n for c, n in zip(caches, counts) if c.perm is None),
+        tuple((a, a + n, f) for a, n, f in zip(firsts, counts, map(turn, caches)) if f is not None),
         tuple(label for _, n, label in parts for _ in range(n)),
     )
 
 
 def _noise_blocks(rows: _Rows, rngs, n_steps: int):
     """Yield the correlated (y; w) noise of n_steps steps in blocks (K, 2, len(rngs), d),
-    in each row's own coordinates, row r drawn from ``rngs[r]`` (see the module
+    in the batch's coordinates, row r drawn from ``rngs[r]`` (see the module
     docstring). Each block is written into the buffer of the one before it, so use
     a block before drawing the next."""
     r, d = len(rngs), rows.factor.shape[-1]
@@ -306,49 +300,48 @@ def _noise_blocks(rows: _Rows, rngs, n_steps: int):
         np.multiply(l_yy, z[:, 0], out=out[:, 0])  # l_yw = 0
         np.multiply(l_wy, z[:, 0], out=out[:, 1])
         out[:, 1] += np.multiply(l_ww, z[:, 1], out=z[:, 1])
-        for lo, hi, unperm in rows.perms:
-            out[..., lo:hi, :] = out[..., lo:hi, :].take(unperm, axis=-1)
+        for lo, hi, turn in rows.turns:
+            out[..., lo:hi, :] = turn(out[..., lo:hi, :])
         yield out
 
 
-def _stacked_product(xv: np.ndarray, k: int, matrix: np.ndarray) -> np.ndarray:
-    """The first k rows of the (2, R, d) planes xv times ``matrix``, as planes (2, k, d),
-    by one stacked (k, 2, d) product: each row rounds as in a batch of its own."""
-    return (np.ascontiguousarray(xv[:, :k].swapaxes(0, 1)) @ matrix).swapaxes(0, 1)
-
-
 class _Batch:
-    """Rows that step together: their coefficients ``rows``, their positions and
-    velocities ``xv`` (2, R, d) and, when there are dense rows, the working
-    coordinates ``work`` (2, R, d) the steps update: y = x V, w = v V for the
-    first ``rows.dense`` rows, and x, v for the others."""
+    """Rows that step together, from ``parts`` (as for ``_batch_rows``) and their
+    states xv (2, R, d) in x. With a dense A they step in y = x V for its eigenvectors
+    V (``vectors``), where every other A must be diagonal too: the same V, or a
+    multiple of I; else in x. ``rows``, ``xv`` and ``grad`` are in those coordinates."""
 
-    def __init__(self, rows: _Rows, xv: np.ndarray):
-        self.rows, self.xv, self.work = rows, xv, None
-        if rows.dense:
-            self.work = xv.copy()
-            self.work[:, : rows.dense] = _stacked_product(xv, rows.dense, rows.vectors)
+    def __init__(self, target: TargetModel, parts, xv: np.ndarray):
+        vs = [c.config.A.eig.vectors for c, _, _ in parts if c.perm is None]
+        ws = [c.config.A.eig.values for c, _, _ in parts if c.perm is not None]
+        if vs and (any(w[0] < w[-1] for w in ws) or any((v != vs[0]).any() for v in vs)):
+            raise InvalidInput("a batch with a dense A holds only A's of its V or multiples of I")
+        self.vectors, self.grad, self.back = None, target.grad_oracle, lambda a: a
+        if vs:  # V^T stored C-contiguous: a row then rounds alike in any batch
+            v, vt = vs[0], np.ascontiguousarray(vs[0].T)
+            self.vectors, self.grad, xv = v, target.grad_in_frame(v), xv @ v
+            self.back = lambda a: (a.reshape(-1, a.shape[-1]) @ vt).reshape(a.shape)
+        self.rows, self.xv = _batch_rows(parts, self.vectors), xv
 
-    def narrow(self, lo: int, hi: int, rows: _Rows) -> None:
-        """Keep rows lo..hi-1, which step on with the coefficients ``rows``."""
-        self.rows, self.xv = rows, self.xv[:, lo:hi]
-        self.work = self.work[:, lo:hi] if rows.dense else None
+    def narrow(self, lo: int, hi: int, parts) -> None:
+        """Keep rows lo..hi-1, which step on as ``parts``, a subset of the batch's."""
+        self.rows, self.xv = _batch_rows(parts, self.vectors), self.xv[:, lo:hi]
 
-    def walk(self, target: TargetModel, rngs, n_steps: int, first: int | None):
+    def walk(self, rngs, n_steps: int, first: int | None):
         """Take n_steps steps, the first numbered ``first`` (None: one unnumbered
         step), with noise from ``rngs``. Yield each noise block's positions and
-        velocities (K, 2, R, d); the next block writes over them."""
+        velocities (K, 2, R, d) in x; the next block may write over them."""
         path = None
         for noise in _noise_blocks(self.rows, rngs, n_steps):
             k = len(noise)
             if path is None:  # the first block is the longest
                 path = np.empty((k + 1,) + self.xv.shape)
             path[0] = self.xv
-            self.block(target, noise, path[: k + 1], first)
-            yield path[1 : k + 1]
+            self.block(noise, path[: k + 1], first)
+            yield self.back(path[1 : k + 1])  # in x, by one product if turned
             first += k
 
-    def block(self, target: TargetModel, noise, path, first) -> None:
+    def block(self, noise, path, first) -> None:
         """Take len(noise) steps from path[0], step t numbered first + t (None:
         unnumbered), with noise[t] (2, R or 1, d), writing into path[t + 1]. Then,
         if a coordinate of the block is beyond BLOWUP_GUARD or non-finite (as a
@@ -356,28 +349,20 @@ class _Batch:
         the first such step and its first such row's cell. Numpy reports no
         overflow or invalid operation in the block, the oracle's included: steps
         after a trip run on through inf and NaN, and the guard reports the trip."""
-        rows, k = self.rows, self.rows.dense
+        rows = self.rows
         mean_w, mean_g = rows.mean
-        tmp, h = np.empty_like(path[0]), np.empty_like(path[0, 0])
+        tmp = np.empty_like(path[0])
         grads = []  # each step's gradients, to name a trip's cause
         with np.errstate(over="ignore", invalid="ignore"):
             for t, n in enumerate(noise):
                 xv, out = path[t], path[t + 1]
-                g = target.grad_oracle(xv[0])
+                g = self.grad(xv[0])
                 grads.append(g)
-                work = xv
-                if k:
-                    work = self.work
-                    np.matmul(g[:k], rows.vectors, out=h[:k])
-                    h[k:] = g[k:]
                 # (y, w) <- (y + m_wy w - m_gy h, m_ww w - m_gw h) + noise
-                np.multiply(mean_w, work[1], out=out)
-                out[0] += work[0]
-                out -= np.multiply(mean_g, h if k else g, out=tmp)
+                np.multiply(mean_w, xv[1], out=out)
+                out[0] += xv[0]
+                out -= np.multiply(mean_g, g, out=tmp)
                 out += n
-                if k:
-                    work[...] = out
-                    out[:, :k] = _stacked_product(out, k, rows.vectors.T)
             self.xv = path[-1]
             steps = path[1:]
             if np.abs(steps).max() < BLOWUP_GUARD:
@@ -397,8 +382,8 @@ def step(
     """Advance one chain by one exact Gaussian step (one gradient call)."""
     if state.dim != cache.dim or target.dim != cache.dim:
         raise InvalidInput("state/target dimension does not match the cache")
-    batch = _Batch(_batch_rows([(cache, 1, None)]), np.stack((state.x, state.v))[:, None])
-    xv = next(batch.walk(target, (rng,), 1, None))[0]
+    batch = _Batch(target, [(cache, 1, None)], np.stack((state.x, state.v))[:, None])
+    xv = next(batch.walk((rng,), 1, None))[0]
     return ChainState(x=xv[0, 0], v=xv[1, 0])
 
 
@@ -453,9 +438,13 @@ class CellRun:
 def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
     """Run every chain of every cell as one batch; one ``CellRun`` per cell.
 
-    Each step makes one ``target.grad_oracle`` call on the positions of every
-    chain whose cell has steps left, so the run makes max(n_steps) calls, and
-    each chain's run is the one ``run_chain`` gives it alone. ``NumericalBlowup``
+    Each step makes one gradient call (``target.grad_oracle``, or the map
+    ``grad_in_frame`` gives) on the positions of every chain whose cell has
+    steps left, so the run makes max(n_steps) calls, and each chain's run is the
+    one ``run_chain`` gives it alone, up to rounding. When a cell's A is dense the
+    batch steps in that A's eigenvectors (see the module docstring), and raises
+    ``InvalidInput`` unless every other A is diagonal there too; the states it
+    keeps are turned back into x block by block. ``NumericalBlowup``
     reports the first step at which any chain trips, and that chain's cell.
     ``on_cell(c, run)``, if given, receives cell c's ``CellRun`` as soon as its
     rows leave the batch, before the batch takes its next step.
@@ -468,11 +457,7 @@ def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
             raise InvalidInput("at least one generator is required")
         caches.append(_checked_cache((cell.init,), target, cell.config, cell.delta, cell.n_steps))
 
-    def rank(c):  # dense cells by ascending n, then the rest by descending n
-        n = cells[c].n_steps
-        return (0, n) if caches[c].perm is None else (1, -n)
-
-    order = sorted(range(len(cells)), key=rank)
+    order = sorted(range(len(cells)), key=lambda c: -cells[c].n_steps)
     bounds = np.cumsum([0] + [len(cells[c].rngs) for c in order]).tolist()
     span = dict(zip(order, zip(bounds, bounds[1:])))
     d = target.dim
@@ -496,14 +481,14 @@ def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
     for end in sorted({cell.n_steps for cell in cells}):
         live = [c for c in order if cells[c].n_steps >= end]
         lo, hi = span[live[0]][0], span[live[-1]][1]
-        rows = _batch_rows([(caches[c], len(cells[c].rngs), cells[c].label) for c in live])
+        parts = [(caches[c], len(cells[c].rngs), cells[c].label) for c in live]
         if batch is None:
-            batch = _Batch(rows, xv)
+            batch = _Batch(target, parts, xv)
         else:
-            batch.narrow(lo - at, hi - at, rows)
+            batch.narrow(lo - at, hi - at, parts)
         at = lo
         rngs = [rng for c in live for rng in cells[c].rngs]
-        for path in batch.walk(target, rngs, end - done, done + 1):
+        for path in batch.walk(rngs, end - done, done + 1):
             k = len(path)
             for c in live:
                 cell, (a, b) = cells[c], span[c]
@@ -516,7 +501,7 @@ def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
         for c, cell in enumerate(cells):
             if cell.n_steps == end:
                 a, b = span[c][0] - lo, span[c][1] - lo
-                final = batch.xv[:, a:b].swapaxes(0, 1).copy()
+                final = path[-1, :, a:b].swapaxes(0, 1).copy()  # the last states, in x
                 runs[c] = CellRun(xs[c], vs[c], steps[c], final, cell.n_steps)
                 if on_cell is not None:
                     on_cell(c, runs[c])
@@ -570,7 +555,7 @@ def coupled_pair_run(
     cache = _checked_cache((init_a, init_b), target, config, delta, n_steps)
     xv = np.zeros((2, 2, target.dim))
     xv[0] = init_a.x0, init_b.x0
-    batch = _Batch(_batch_rows([(cache, 2, None)]), xv)
+    batch = _Batch(target, [(cache, 2, None)], xv)
 
     def rho(xv) -> float:
         (x, y), (v, w) = xv
@@ -578,6 +563,6 @@ def coupled_pair_run(
         return float(dx @ dx + dq @ dq)
 
     out = [rho(xv)]
-    for path in batch.walk(target, (rng,), n_steps, 1):
+    for path in batch.walk((rng,), n_steps, 1):
         out.extend(map(rho, path))
     return np.array(out)

@@ -74,6 +74,15 @@ class TargetModel:
     def kappa(self) -> float:
         return self.L / self.m
 
+    def grad_in_frame(self, vectors: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """y -> grad(y V^T) V, the gradient in y = x V for an orthogonal V, on points or
+        batches as ``grad_oracle``. An oracle's own ``in_frame(V)`` builds it for less (the
+        logistic one folds V into its design); a wrapped or replaced oracle has none."""
+        if hasattr(self.grad_oracle, "in_frame"):
+            return self.grad_oracle.in_frame(vectors)
+        grad, back = self.grad_oracle, np.ascontiguousarray(vectors.T)  # rows round alike
+        return lambda y: grad(y @ back) @ vectors
+
 
 @dataclass(frozen=True, eq=False)
 class InitSpec:
@@ -171,7 +180,8 @@ def make_logistic_ridge(
 
     The oracles keep one copy of the design, the C-contiguous (d, rows)
     array B = (y_i a_i)^T, so the margins of a point or a (C, d) batch
-    are z = x @ B. The gradient is ridge x - s @ B^T with
+    are z = x @ B; in y = x V the target is again logistic, with design V^T B
+    (the gradient's ``in_frame``). The gradient is ridge x - s @ B^T with
     s = sigma(-z) = 1/(1 + exp(z)); exp overflows to inf above z ~ 709
     and then gives s = 0 exactly, with the overflow warning silenced.
     The Hessian is (B * w) @ B^T + ridge I with w = sigma(z) sigma(-z)
@@ -204,13 +214,18 @@ def make_logistic_ridge(
         z = x @ ya_t
         return float(np.logaddexp(0.0, -z).sum() + 0.5 * ridge * (x @ x))
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        s = x @ ya_t
-        with np.errstate(over="ignore"):
-            np.exp(s, out=s)
-        s += 1.0
-        np.reciprocal(s, out=s)
-        return ridge * x - s @ ya_t.T
+    def gradient(design: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        def grad(x: np.ndarray) -> np.ndarray:
+            s = x @ design
+            with np.errstate(over="ignore"):
+                np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)
+            return ridge * x - s @ design.T
+        grad.in_frame = lambda vectors: gradient(vectors.T @ design)  # C-contiguous
+        return grad
+
+    grad = gradient(ya_t)
 
     def hess(x: np.ndarray) -> SymMatrix:
         e = np.exp(-np.abs(x @ ya_t))

@@ -118,6 +118,26 @@ class TestGaussianW2:
         assert gaussian_w2(a, b) == pytest.approx(expected, rel=1e-12)
 
 
+    @pytest.mark.parametrize("stored", ["diagonal", "dense"])
+    def test_unsymmetrized_inner_matrix_matches_the_symmetrized_one(self, stored):
+        # eigvalsh reads one triangle of the inner matrix, which round-off leaves
+        # slightly asymmetric; the symmetrized matrix gives the same W2 to rounding
+        rng = np.random.default_rng(64)
+        d = 64
+        a = moment_summary(SampleCloud.from_points(rng.standard_normal((300, d)) @ random_spd(rng, d).mat))
+        cov = SymMatrix.diagonal(rng.uniform(0.1, 5.0, d)) if stored == "diagonal" else random_spd(rng, d)
+        b = GaussianSummary(mean=rng.standard_normal(d), cov=cov)
+        root_b = spd_sqrt(b.cov, clip_negative=True).mat
+        inner = root_b @ a.cov.mat @ root_b
+        assert not np.array_equal(inner, inner.T)
+        spectrum = np.linalg.eigvalsh(SymMatrix(inner).mat)
+        cross = np.sqrt(np.clip(spectrum, 0.0, None)).sum()
+        expected = np.sqrt(
+            np.sum((a.mean - b.mean) ** 2) + np.trace(a.cov.mat) + np.trace(b.cov.mat) - 2.0 * cross
+        )
+        assert gaussian_w2(a, b) == pytest.approx(expected, rel=1e-12)
+
+
 class TestEmpiricalW2:
     def test_identical_clouds(self):
         cloud = SampleCloud.from_points(np.arange(12.0).reshape(6, 2))

@@ -19,6 +19,7 @@ from slmc import (
     coupled_pair_run,
     kernel_moments,
     make_gaussian,
+    make_logistic_ridge,
     make_step_cache,
     run_chain,
     run_chains,
@@ -169,7 +170,8 @@ class TestStepCache:
 
     def test_diagonal_exponential(self):
         cache = make_step_cache(make_config(SymMatrix(2.0 * np.eye(2))), 0.5)
-        exp_ga = (cache.vectors * cache.mean_w[1]) @ cache.vectors.T
+        vectors = cache.config.A.eig.vectors
+        exp_ga = (vectors * cache.mean_w[1]) @ vectors.T
         assert np.allclose(exp_ga, math.exp(-1.0) * np.eye(2), rtol=1e-12)
 
     def test_joint_psd_random(self):
@@ -190,7 +192,7 @@ class TestStepCache:
         for delta in np.geomspace(1e-6, 1e2, 17):
             cache = make_step_cache(config, float(delta))
             (l_yy, _), (l_wy, l_ww) = cache.factor
-            vec = cache.vectors
+            vec = cache.config.A.eig.vectors
             mom = kernel_moments(ChainState(x=zeros, v=zeros), zeros, config, float(delta))
             for exact, per_mode in (
                 (mom.cov_xx.mat, l_yy**2),
@@ -689,6 +691,131 @@ class TestRunCells:
         assert str(err.value) == f"{what} in cell {cell!r} (step {step})"
         assert (err.value.step_index, err.value.cell) == (step, cell)
         assert calls == [4] * 400
+
+
+class TestDenseFrame:
+    """A batch with a dense A = V diag(a) V^T steps in y = x V, where A is diagonal."""
+
+    D = 4
+
+    @classmethod
+    def problem(cls, which, rng):
+        """A target, the same target in y = x V, a dense config and its diagonal twin."""
+        config = make_config(random_spd(rng, cls.D, lo=0.5, hi=4.0), u=0.7, gamma=1.3)
+        vectors = config.A.eig.vectors
+        diagonal = make_config(SymMatrix.diagonal(config.A.eig.values), u=0.7, gamma=1.3)
+        assert config.A.eig.perm is None
+        assert np.array_equal(diagonal.A.eig.perm, np.arange(cls.D))  # the same modes, in order
+        if which == "gaussian":
+            mean, precision = rng.standard_normal(cls.D), random_spd(rng, cls.D, lo=1.0, hi=10.0)
+            target = make_gaussian(mean, precision)
+            turned = make_gaussian(mean @ vectors, SymMatrix(vectors.T @ precision.mat @ vectors))
+        else:
+            features = rng.standard_normal((40, cls.D))
+            labels = np.where(rng.standard_normal(40) > 0, 1.0, -1.0)
+            target = make_logistic_ridge(features, labels, ridge=0.5)
+            turned = make_logistic_ridge(features @ vectors, labels, ridge=0.5)
+        return target, turned, config, diagonal
+
+    @staticmethod
+    def close(got, want, rtol=1e-12):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+    @pytest.mark.parametrize("which", ["gaussian", "logistic"])
+    def test_zero_noise_steps_follow_the_mean_recursion(self, which):
+        rng = np.random.default_rng(48)
+        target, _, config, _ = self.problem(which, rng)
+        init = InitSpec.from_point(target, 3.0 * rng.standard_normal(self.D))
+        run = run_chain(init, target, config, 0.1, 60, ZeroRng())
+        state, xs, vs = ChainState(x=init.x0, v=np.zeros(self.D)), [], []
+        for _ in range(60):
+            mom = kernel_moments(state, target.grad_oracle(state.x), config, 0.1)
+            state = ChainState(x=mom.mean_x, v=mom.mean_v)
+            xs.append(state.x)
+            vs.append(state.v)
+        self.close(run.xs, np.array(xs))
+        self.close(run.vs, np.array(vs))
+        assert np.abs(run.xs[-1] - init.x0).max() > 0.1  # the chain moved
+
+    @pytest.mark.parametrize("which", ["gaussian", "logistic"])
+    def test_noisy_run_is_the_rotated_problems_rotated_back(self, which):
+        # the same generators draw the same per-mode noise in both runs
+        rng = np.random.default_rng(49)
+        target, turned, config, diagonal = self.problem(which, rng)
+        vectors = config.A.eig.vectors
+        x0 = 2.0 * rng.standard_normal(self.D)
+        options = dict(burn_in=40, thin=3)
+        runs = run_chains(InitSpec.from_point(target, x0), target, config, 0.1, 400,
+                          [np.random.default_rng(s) for s in (5, 6, 7)], **options)
+        refs = run_chains(InitSpec.from_point(turned, x0 @ vectors), turned, diagonal, 0.1, 400,
+                          [np.random.default_rng(s) for s in (5, 6, 7)], **options)
+        for run, ref in zip(runs, refs):
+            assert np.array_equal(run.steps, ref.steps)
+            self.close(run.xs, ref.xs @ vectors.T)
+            self.close(run.vs, ref.vs @ vectors.T)
+            self.close(np.stack((run.final.x, run.final.v)), np.stack((ref.final.x, ref.final.v)) @ vectors.T)
+
+    def test_coupled_pair_is_the_rotated_problems(self):
+        # rho does not depend on the coordinates; it decays, so compare it while large
+        rng = np.random.default_rng(50)
+        target, turned, config, diagonal = self.problem("gaussian", rng)
+        vectors = config.A.eig.vectors
+        a, b = 2.0 * rng.standard_normal(self.D), 2.0 * rng.standard_normal(self.D)
+        rho = coupled_pair_run(InitSpec.from_point(target, a), InitSpec.from_point(target, b),
+                               target, config, 0.1, 60, np.random.default_rng(8))
+        ref = coupled_pair_run(InitSpec.from_point(turned, a @ vectors),
+                               InitSpec.from_point(turned, b @ vectors),
+                               turned, diagonal, 0.1, 60, np.random.default_rng(8))
+        assert ref[-1] > 1e-6 * ref[0]
+        assert np.allclose(rho, ref, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "beside, raises",
+        [("non-scalar diagonal", True), ("other dense", True), ("multiple of I", False), ("same A", False)],
+    )
+    def test_only_a_that_are_diagonal_in_the_frame_share_a_batch(self, beside, raises):
+        rng = np.random.default_rng(51)
+        target = make_gaussian(np.zeros(3), SymMatrix.diagonal([4.0, 1.0, 2.0]))
+        dense = make_config(random_spd(rng, 3, lo=0.5, hi=2.0))
+        other = {
+            "non-scalar diagonal": make_config(SymMatrix.diagonal([2.0, 1.0, 3.0])),
+            "other dense": make_config(random_spd(rng, 3, lo=0.5, hi=2.0)),
+            "multiple of I": make_config(SymMatrix.diagonal([2.0, 2.0, 2.0])),
+            "same A": make_config(dense.A, u=0.5),
+        }[beside]
+        calls = []
+        counted = replace(target, grad_oracle=lambda x: (calls.append(len(x)), target.grad_oracle(x))[1])
+        calls.clear()  # discard the contract check made on construction
+        init = InitSpec.from_point(target, np.ones(3))
+        cells = [Cell(init, dense, 0.05, 5, (np.random.default_rng(1),)),
+                 Cell(init, other, 0.05, 5, (np.random.default_rng(2),))]
+        if raises:
+            with pytest.raises(InvalidInput, match="dense A"):
+                run_cells(counted, cells)
+            assert calls == []
+        else:
+            run_cells(counted, cells)
+            assert calls == [2] * 5
+
+    def test_step_on_a_dense_cache_builds_no_target(self, monkeypatch):
+        # step turns into the frame on every call, with one gradient call and no
+        # target made (whose construction checks its oracle)
+        target = make_gaussian(np.zeros(3), random_spd(np.random.default_rng(52), 3))
+        calls = []
+        counted = replace(target, grad_oracle=lambda x: (calls.append(len(x)), target.grad_oracle(x))[1])
+        calls.clear()  # discard the contract check made on construction
+        cache = make_step_cache(make_config(random_spd(np.random.default_rng(53), 3)), 0.1)
+        assert cache.perm is None
+
+        def refuse(self):
+            raise AssertionError("a target was built")
+
+        monkeypatch.setattr(TargetModel, "__post_init__", refuse)
+        state = ChainState(x=np.ones(3), v=np.zeros(3))
+        step(state, counted, cache, np.random.default_rng(0))
+        step(state, counted, cache, np.random.default_rng(0))
+        assert calls == [1, 1]
 
 
 class TestCoupledPair:

@@ -115,7 +115,7 @@ class TestSymMatrix:
 
     def test_step_cache_shares_the_decomposition_of_a(self):
         config = make_config(random_spd(np.random.default_rng(4), 3))
-        assert make_step_cache(config, 0.1).vectors is config.A.eig.vectors
+        assert make_step_cache(config, 0.1).config.A.eig is config.A.eig
 
 
 class TestSymEig:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import slmc.targets
 from helpers import random_logistic
 from slmc import (
     InitSpec,
@@ -252,6 +253,51 @@ class TestBatchContract:
         p = np.diag([1.0, 4.0])
         with pytest.raises(InvalidInput):
             self.model_with(lambda x: p @ x.reshape(-1))
+
+
+class TestGradInFrame:
+    """The gradient in y = x V, y -> grad(y V^T) V, for an orthogonal V."""
+
+    @staticmethod
+    def frame(d, seed=31):
+        return np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
+
+    def test_folded_logistic_gradient_matches_the_rotated_oracle(self):
+        target = random_logistic(46, rows=60, d=5, ridge=0.5)
+        vectors = self.frame(5)
+        y = np.random.default_rng(32).standard_normal((4, 5))
+        folded = target.grad_in_frame(vectors)(y)
+        reference = target.grad_oracle(y @ vectors.T) @ vectors
+        assert folded.shape == (4, 5)
+        assert np.abs(folded - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert np.allclose(target.grad_in_frame(vectors)(y[0]), reference[0], rtol=1e-12, atol=1e-14)
+
+    def test_folding_reruns_no_newton(self, monkeypatch):
+        # the logistic map folds V into its design and builds no new target
+        target = random_logistic(46, rows=60, d=5, ridge=0.5)
+
+        def refuse(*args):
+            raise AssertionError("Newton rerun")
+
+        monkeypatch.setattr(slmc.targets, "_newton_minimize", refuse)
+        monkeypatch.setattr(slmc.targets.TargetModel, "__post_init__", refuse)
+        target.grad_in_frame(self.frame(5))(np.ones((4, 5)))
+
+    @pytest.mark.parametrize("which", ["gaussian", "logistic"])
+    def test_a_replaced_oracle_is_called_once_per_call(self, which, logistic_target):
+        if which == "gaussian":
+            base = make_gaussian(np.array([0.5, -1.0, 2.0]), SymMatrix(np.diag([1.0, 3.0, 9.0])))
+        else:
+            base = logistic_target
+        calls = []
+        target = replace(base, grad_oracle=lambda x: (calls.append(len(x)), base.grad_oracle(x))[1])
+        calls.clear()  # discard the contract check made on construction
+        vectors = self.frame(3)
+        y = np.random.default_rng(33).standard_normal((4, 3))
+        got = target.grad_in_frame(vectors)(y)
+        assert calls == [4]
+        reference = base.grad_oracle(y @ vectors.T) @ vectors
+        assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 class TestInitSpec:

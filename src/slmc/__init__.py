@@ -16,7 +16,7 @@ from .errors import (
     TheoremInapplicable,
 )
 from .metrics import GaussianSummary, SampleCloud, empirical_w2, gaussian_w2, moment_summary
-from .oracle import EulerConfig, euler_frozen, euler_full, run_kernel_validation
+from .oracle import run_kernel_validation
 from .sampler import (
     ChainRun,
     ChainState,
@@ -57,7 +57,6 @@ __all__ = [
     "ChainRun",
     "ChainState",
     "ConfigError",
-    "EulerConfig",
     "GaussianSummary",
     "InitSpec",
     "InvalidInput",
@@ -79,8 +78,6 @@ __all__ = [
     "default_theta_probes",
     "empirical_w2",
     "estimate_theta",
-    "euler_frozen",
-    "euler_full",
     "gaussian_w2",
     "grad_check",
     "kernel_moments",

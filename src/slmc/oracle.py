@@ -1,137 +1,74 @@
-"""Brute-force integrators used to verify the analytic step kernel.
+"""A deterministic reference for the analytic step kernel.
 
-Euler-Maruyama is deliberately the dumbest credible scheme: weak order
-one, with accuracy bought through substeps rather than cleverness, so
-that it stays an independent check on the closed-form moments. Noise is
-injected as sqrt(2 gamma u h) A^{1/2} xi per substep, equal in law to
-the exact diffusion term.
+With the gradient g frozen, one step of size delta is the linear SDE
+
+    dz = (F z + b) dt + G dB,   z = (x, v),
+    F = [[0, I], [0, -gamma A]],   b = (0, -u g),   G G^T = Q = diag(0, 2 gamma u A),
+
+so its law is Gaussian with mean e^{F delta} z + int_0^delta e^{F t} b dt
+and covariance int_0^delta e^{F t} Q e^{F^T t} dt. The mean is one ``expm``
+of the augmented generator [[F, b], [0, 0]]; the covariance comes from the
+``expm`` of Van Loan's block [[-F, Q], [0, F^T]] (C. F. Van Loan, Computing
+integrals involving the matrix exponential, IEEE TAC 23(3), 1978). Both are
+taken over h = delta / 2^k with ||F||_1 h <= 1/2, where the -F block cannot
+blow up, and then doubled k times.
+
+The reference works on the dense A and never on its eigenvalues, so it
+shares no code with the per-mode closed forms it checks (``sampler._modes``,
+reached through ``kernel_moments``) and has no sampling error.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalBlowup
-from .sampler import BLOWUP_GUARD, ChainState, kernel_moments
-from .spd import SymMatrix, spd_sqrt
-from .targets import TargetModel
+from .sampler import ChainState, kernel_moments
+from .spd import SymMatrix
 from .tuner import ScalingConfig
 
-_CHUNK = 16384
+#: Entrywise relative error up to which a case passes. The reference agrees with
+#: the closed forms to ~1e-12 except near s = gamma a delta = 1e-3, where
+#: ``sampler._cov_xx_shape`` itself is off by up to ~1e-9 (cancellation just
+#: above the switch, series truncation just below), so a tighter bound would
+#: fail the kernel on an error it knowingly carries.
+TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
-class EulerConfig:
-    """Resolution of an Euler run: substeps per step and replica count."""
-
-    substeps: int
-    replicas: int
-
-    def __post_init__(self):
-        if self.substeps < 1 or (self.substeps & (self.substeps - 1)) != 0:
-            raise InvalidInput("substeps must be a positive power of two")
-        if self.replicas < 1:
-            raise InvalidInput("replicas must be positive")
-
-
-def euler_frozen(
-    state: ChainState,
-    grad: np.ndarray,
-    config: ScalingConfig,
-    delta: float,
-    ecfg: EulerConfig,
-    rng: np.random.Generator,
+def exact_step_moments(
+    state: ChainState, grad: np.ndarray, config: ScalingConfig, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate one frozen-gradient step for many replicas.
+    """Mean (2d,) and covariance (2d, 2d) of z = (x, v) after one frozen-gradient step."""
+    from scipy.linalg import expm
 
-    Each replica runs substeps of size h = delta/substeps:
-
-        v <- v + h (-gamma A v - u g) + sqrt(2 gamma u h) A^{1/2} xi
-        x <- x + h v
-
-    Returns the end states as (replicas, d) position and velocity
-    arrays. Replicas are processed in fixed-size chunks off a single
-    generator, so a given seed always yields the same cloud.
-    """
-    if not (delta > 0.0 and np.isfinite(delta)):
-        raise InvalidInput("delta must be positive")
     d = state.dim
-    g = np.asarray(grad, dtype=float)
-    if g.shape != (d,):
-        raise InvalidInput("gradient dimension does not match the state")
-    a_mat = config.A.mat
-    root_a = spd_sqrt(config.A).mat
-    h = delta / ecfg.substeps
-    amp = math.sqrt(2.0 * config.gamma * config.u * h)
-    drift = config.u * g
+    n = 2 * d
+    a = config.A.mat
+    f = np.zeros((n, n))
+    f[:d, d:] = np.eye(d)
+    f[d:, d:] = -config.gamma * a
+    k = max(0, math.ceil(math.log2(2.0 * delta * np.abs(f).sum(axis=0).max())))
+    h = delta / 2**k
 
-    damp = (-config.gamma * h) * a_mat
-    kick = amp * root_a
-    h_drift = h * drift
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = f * h
+    aug[d:n, n] = -config.u * h * np.asarray(grad, dtype=float)
+    e = expm(aug)
+    phi, c = e[:n, :n], e[:n, n]
 
-    xs = np.empty((ecfg.replicas, d))
-    vs = np.empty((ecfg.replicas, d))
-    done = 0
-    while done < ecfg.replicas:
-        k = min(_CHUNK, ecfg.replicas - done)
-        x = np.tile(state.x, (k, 1))
-        v = np.tile(state.v, (k, 1))
-        xi = np.empty((k, d))
-        buf = np.empty((k, d))
-        for _ in range(ecfg.substeps):
-            rng.standard_normal(out=xi)
-            np.matmul(v, damp, out=buf)
-            v += buf
-            v -= h_drift
-            np.matmul(xi, kick, out=buf)
-            v += buf
-            np.multiply(v, h, out=buf)
-            x += buf
-        xs[done : done + k] = x
-        vs[done : done + k] = v
-        done += k
-    return xs, vs
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -f * h
+    block[d:n, n + d :] = 2.0 * config.gamma * config.u * h * a
+    block[n:, n:] = f.T * h
+    cov = phi @ expm(block)[:n, n:]
 
-
-def euler_full(
-    state: ChainState,
-    target: TargetModel,
-    config: ScalingConfig,
-    total_time: float,
-    ecfg: EulerConfig,
-    rng: np.random.Generator,
-) -> ChainState:
-    """Integrate the full dynamics (gradient re-evaluated every substep).
-
-    Used only for stationarity sanity checks; returns the end state
-    after total_time with h = total_time/substeps.
-    """
-    if not (total_time > 0.0 and np.isfinite(total_time)):
-        raise InvalidInput("total_time must be positive")
-    a_mat = config.A.mat
-    root_a = spd_sqrt(config.A).mat
-    h = total_time / ecfg.substeps
-    amp = math.sqrt(2.0 * config.gamma * config.u * h)
-    x = state.x.copy()
-    v = state.v.copy()
-    for i in range(ecfg.substeps):
-        g = target.grad_oracle(x)
-        if not np.all(np.isfinite(g)):
-            raise NumericalBlowup("gradient oracle returned non-finite values", i)
-        xi = rng.standard_normal(x.shape)
-        v = v + h * (-config.gamma * (a_mat @ v) - config.u * g) + amp * (root_a @ xi)
-        x = x + h * v
-        if not (np.all(np.abs(x) < BLOWUP_GUARD) and np.all(np.abs(v) < BLOWUP_GUARD)):
-            raise NumericalBlowup("trajectory left the guarded region", i)
-    return ChainState(x=x, v=v)
-
-
-# ---------------------------------------------------------------------------
-# Kernel validation suite: analytic moments vs Euler Monte Carlo.
+    for _ in range(k):
+        c = phi @ c + c
+        cov = phi @ cov @ phi.T + cov
+        phi = phi @ phi
+    return phi @ np.concatenate([state.x, state.v]) + c, 0.5 * (cov + cov.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,20 +84,22 @@ class KernelCase:
 
 @dataclass(frozen=True, eq=False)
 class CaseReport:
+    """Largest relative errors of ``kernel_moments`` against the reference: mean
+    entries relative to max(1, |mean|), covariance entries to sqrt(S_ii S_jj)."""
+
     case: KernelCase
-    max_z_mean: float
-    max_z_cov: float
-    seconds: float
+    mean_error: float
+    cov_error: float
 
-    def passed(self, threshold: float = 5.0) -> bool:
-        return self.max_z_mean <= threshold and self.max_z_cov <= threshold
+    @property
+    def passed(self) -> bool:
+        return self.mean_error <= TOLERANCE and self.cov_error <= TOLERANCE
 
 
-def kernel_validation_cases(
-    seed: int, n_cases: int = 10, eig_range: tuple[float, float] = (2.0, 50.0)
-) -> list[KernelCase]:
-    """Randomized cases: d cycles over {1,2,4}, delta alternates 0.1/0.5,
-    A is a random SPD matrix with eigenvalues in ``eig_range``."""
+def kernel_validation_cases(seed: int, n_cases: int = 10) -> list[KernelCase]:
+    """Randomized cases: d cycles over {1,2,4}, delta alternates 0.1/0.5, A is a
+    random SPD matrix with eigenvalues log-uniform in [1e-4, 1e3], so that
+    s = gamma a delta spans the closed forms' series branch and stiff modes."""
     rng = np.random.default_rng(seed)
     dims = [1, 2, 4]
     deltas = [0.1, 0.5]
@@ -168,7 +107,7 @@ def kernel_validation_cases(
     for i in range(n_cases):
         d = dims[i % len(dims)]
         delta = deltas[i % len(deltas)]
-        eigs = rng.uniform(eig_range[0], eig_range[1], size=d)
+        eigs = np.exp(rng.uniform(math.log(1e-4), math.log(1e3), size=d))
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         a = SymMatrix((q * eigs) @ q.T)
         u = float(rng.uniform(0.5, 2.5))
@@ -177,54 +116,20 @@ def kernel_validation_cases(
         )
         state = ChainState(x=rng.standard_normal(d), v=rng.standard_normal(d))
         grad = rng.standard_normal(d)
-        cases.append(
-            KernelCase(
-                label=f"case{i:02d}-d{d}-delta{delta:g}",
-                config=config,
-                state=state,
-                grad=grad,
-                delta=delta,
-            )
-        )
+        cases.append(KernelCase(f"case{i:02d}-d{d}-delta{delta:g}", config, state, grad, delta))
     return cases
 
 
-def run_kernel_validation(
-    seed: int = 0,
-    replicas: int = 100_000,
-    substeps: int = 1024,
-    n_cases: int = 10,
-) -> list[CaseReport]:
-    """Compare analytic step moments against Euler Monte Carlo clouds.
+def check_case(case: KernelCase) -> CaseReport:
+    """Compare ``kernel_moments`` entrywise against ``exact_step_moments``."""
+    mean, cov = exact_step_moments(case.state, case.grad, case.config, case.delta)
+    moments = kernel_moments(case.state, case.grad, case.config, case.delta)
+    mean_error = np.abs(moments.joint_mean() - mean) / np.maximum(1.0, np.abs(mean))
+    scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    cov_error = np.abs(moments.joint_cov().mat - cov) / scale
+    return CaseReport(case, float(mean_error.max()), float(cov_error.max()))
 
-    Every mean coordinate and covariance entry is scored as a z-value
-    against its Monte Carlo standard error (Gaussian cloud, so the
-    covariance SE is sqrt((S_ii S_jj + S_ij^2)/(R-1))).
-    """
-    reports = []
-    for idx, case in enumerate(kernel_validation_cases(seed, n_cases)):
-        start = time.monotonic()
-        d = case.state.dim
-        exact = kernel_moments(case.state, case.grad, case.config, case.delta)
-        ecfg = EulerConfig(substeps=substeps, replicas=replicas)
-        case_rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        xs, vs = euler_frozen(case.state, case.grad, case.config, case.delta, ecfg, case_rng)
-        joint = np.hstack([xs, vs])
-        emp_mean = joint.mean(axis=0)
-        emp_cov = np.cov(joint, rowvar=False).reshape(2 * d, 2 * d)
 
-        sigma = exact.joint_cov().mat
-        mean = exact.joint_mean()
-        se_mean = np.sqrt(np.diag(sigma) / replicas)
-        z_mean = np.abs(emp_mean - mean) / se_mean
-        var_cov = (np.outer(np.diag(sigma), np.diag(sigma)) + sigma**2) / (replicas - 1)
-        z_cov = np.abs(emp_cov - sigma) / np.sqrt(var_cov)
-        reports.append(
-            CaseReport(
-                case=case,
-                max_z_mean=float(z_mean.max()),
-                max_z_cov=float(z_cov.max()),
-                seconds=time.monotonic() - start,
-            )
-        )
-    return reports
+def run_kernel_validation(seed: int = 0, n_cases: int = 10) -> list[CaseReport]:
+    """Check the first ``n_cases`` randomized cases of ``seed``."""
+    return [check_case(case) for case in kernel_validation_cases(seed, n_cases)]

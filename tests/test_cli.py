@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slmc.cli import main
+from slmc.cli import USAGE_EXIT, main
 from slmc.sample_io import read_samples
 
 CONFIG = """
@@ -186,22 +186,13 @@ class TestCompare:
 
 class TestValidateKernel:
     def test_reduced_suite_exits_zero(self, capsys):
-        code = main(
-            [
-                "validate-kernel",
-                "--seed",
-                "0",
-                "--replicas",
-                "20000",
-                "--substeps",
-                "512",
-                "--cases",
-                "3",
-            ]
-        )
+        code = main(["validate-kernel", "--seed", "0", "--cases", "3"])
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+    def test_removed_monte_carlo_flag_is_a_usage_error(self):
+        assert main(["validate-kernel", "--replicas", "5"]) == USAGE_EXIT
 
 
 class TestW2:

@@ -1,137 +1,88 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from helpers import ZeroRng, make_config
-from slmc import (
-    ChainState,
-    EulerConfig,
-    InvalidInput,
-    SymMatrix,
-    euler_frozen,
-    euler_full,
-    kernel_moments,
-    make_gaussian,
-    run_kernel_validation,
-    scaled_params,
-    estimate_theta,
-)
+from helpers import make_config
+from slmc import ChainState, SymMatrix, cli, run_kernel_validation, sampler
+from slmc.oracle import KernelCase, check_case, exact_step_moments, kernel_validation_cases
 
 
-class TestEulerConfig:
-    def test_substeps_must_be_power_of_two(self):
-        with pytest.raises(InvalidInput):
-            EulerConfig(substeps=100, replicas=10)
+def _skew_modes(monkeypatch, part, row):
+    """Make ``sampler._modes`` return one row of ``part`` (1 mean_g, 2 cov) off by 1e-6."""
+    modes = sampler._modes
 
-    def test_replicas_positive(self):
-        with pytest.raises(InvalidInput):
-            EulerConfig(substeps=16, replicas=0)
+    def skewed(config, delta):
+        out = [block.copy() for block in modes(config, delta)]
+        out[part][row] *= 1.0 + 1e-6
+        return tuple(out)
+
+    monkeypatch.setattr(sampler, "_modes", skewed)
 
 
-class TestEulerFrozen:
-    def test_zero_noise_ode_decay(self):
-        config = make_config(SymMatrix(np.eye(1)))
-        state = ChainState(x=np.zeros(1), v=np.ones(1))
-        ecfg = EulerConfig(substeps=1024, replicas=1)
-        _, vs = euler_frozen(state, np.zeros(1), config, 0.5, ecfg, ZeroRng())
-        assert vs[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-3)
+class TestExactStepMoments:
+    def test_zero_gradient_velocity_decays_exactly(self):
+        a, delta, v0 = 3.0, 0.5, -1.3
+        config = make_config(SymMatrix([[a]]), u=1.7)
+        state = ChainState(x=np.array([0.4]), v=np.array([v0]))
+        mean, _ = exact_step_moments(state, np.zeros(1), config, delta)
+        assert mean[1] == pytest.approx(math.exp(-a * delta) * v0, abs=1e-14)
 
-    def test_weak_order_one_mean_trend(self):
-        # zero noise isolates the deterministic (mean) part exactly
-        config = make_config(SymMatrix([[20.0]]))
-        state = ChainState(x=np.zeros(1), v=np.ones(1))
-        delta = 0.5
-        exact = kernel_moments(state, np.ones(1), config, delta)
-        gaps = []
-        for substeps in (64, 256, 1024):
-            ecfg = EulerConfig(substeps=substeps, replicas=1)
-            xs, vs = euler_frozen(state, np.ones(1), config, delta, ecfg, ZeroRng())
-            gaps.append(abs(vs[0, 0] - exact.mean_v[0]) + abs(xs[0, 0] - exact.mean_x[0]))
-        assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.25)
-        assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=0.25)
+    def test_stiff_mode_is_halved_then_doubled_and_passes(self, monkeypatch):
+        # ||F||_1 delta = (1 + 1e3) * 0.5, so the step is taken as 2^10 pieces
+        seen = []
+        expm = scipy.linalg.expm
 
-    def test_scalar_mean_within_monte_carlo_error(self):
-        config = make_config(SymMatrix([[2.0]]))
-        state = ChainState(x=np.zeros(1), v=np.ones(1))
-        replicas = 20_000
-        ecfg = EulerConfig(substeps=256, replicas=replicas)
-        _, vs = euler_frozen(state, np.zeros(1), config, 0.5, ecfg, np.random.default_rng(0))
-        exact = kernel_moments(state, np.zeros(1), config, 0.5)
-        se = math.sqrt(exact.cov_vv.mat[0, 0] / replicas)
-        assert abs(vs.mean() - math.exp(-1.0)) < 5.0 * se
+        def recording(m):
+            seen.append(m)
+            return expm(m)
 
-    def test_shared_seed_determinism(self):
-        rng_a = np.random.default_rng(42)
-        rng_b = np.random.default_rng(42)
-        config = make_config(SymMatrix(np.diag([2.0, 5.0])), u=1.5)
-        state = ChainState(x=np.ones(2), v=np.zeros(2))
-        ecfg = EulerConfig(substeps=64, replicas=500)
-        out_a = euler_frozen(state, np.ones(2), config, 0.2, ecfg, rng_a)
-        out_b = euler_frozen(state, np.ones(2), config, 0.2, ecfg, rng_b)
-        assert np.array_equal(out_a[0], out_b[0])
-        assert np.array_equal(out_a[1], out_b[1])
-
-    def test_noise_scaling_in_u(self):
-        # with g = 0, v0 = 0 and identical draws the end velocity is
-        # linear in sqrt(u), so the sample variance scales exactly with u
-        state = ChainState(x=np.zeros(1), v=np.zeros(1))
-        ecfg = EulerConfig(substeps=64, replicas=2000)
-        out1 = euler_frozen(
-            state, np.zeros(1), make_config(SymMatrix(np.eye(1)), u=1.0), 0.3, ecfg,
-            np.random.default_rng(7),
+        monkeypatch.setattr(scipy.linalg, "expm", recording)
+        config = make_config(SymMatrix([[1e3]]), u=1.2)
+        case = KernelCase(
+            label="stiff",
+            config=config,
+            state=ChainState(x=np.array([0.3]), v=np.array([2.0])),
+            grad=np.array([-0.7]),
+            delta=0.5,
         )
-        out2 = euler_frozen(
-            state, np.zeros(1), make_config(SymMatrix(np.eye(1)), u=2.0), 0.3, ecfg,
-            np.random.default_rng(7),
-        )
-        ratio = out2[1].var() / out1[1].var()
-        assert ratio == pytest.approx(2.0, rel=1e-12)
-
-
-class TestEulerFull:
-    def test_zero_noise_equilibrium(self):
-        target = make_gaussian(np.array([1.5, -2.0]), SymMatrix(np.diag([1.0, 3.0])))
-        config = scaled_params(target, estimate_theta(target, [target.minimizer], [target.minimizer]))
-        state = ChainState(x=target.minimizer.copy(), v=np.zeros(2))
-        out = euler_full(state, target, config, 5.0, EulerConfig(substeps=256, replicas=1), ZeroRng())
-        assert np.array_equal(out.x, target.minimizer)
-        assert np.array_equal(out.v, np.zeros(2))
-
-    def test_constant_gradient_matches_frozen_pathwise(self):
-        g0 = np.array([0.7, -0.3])
-        stub = SimpleNamespace(grad_oracle=lambda x: g0)
-        config = make_config(SymMatrix(np.diag([1.0, 2.0])), u=1.3)
-        state = ChainState(x=np.array([0.2, 0.1]), v=np.array([-0.5, 0.4]))
-        ecfg = EulerConfig(substeps=128, replicas=1)
-        frozen = euler_frozen(state, g0, config, 0.4, ecfg, np.random.default_rng(11))
-        full = euler_full(state, stub, config, 0.4, ecfg, np.random.default_rng(11))
-        assert np.allclose(frozen[0][0], full.x, rtol=1e-12, atol=1e-12)
-        assert np.allclose(frozen[1][0], full.v, rtol=1e-12, atol=1e-12)
-
-    def test_velocity_second_moment(self):
-        target = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))
-        config = scaled_params(target, estimate_theta(target, [np.zeros(2)], [np.zeros(2)]))
-        rng = np.random.default_rng(5)
-        total = 0.0
-        replicas = 400
-        for i in range(replicas):
-            out = euler_full(
-                ChainState(x=np.zeros(2), v=np.zeros(2)),
-                target,
-                config,
-                4.0,
-                EulerConfig(substeps=512, replicas=1),
-                rng,
-            )
-            total += float(out.v @ out.v)
-        ratio = (total / replicas) / (config.u * 2)
-        assert 0.9 < ratio < 1.1
+        report = check_case(case)
+        # each expm sees +-F h in its top-left block, with ||F h||_1 <= 1/2 < ||F delta||_1
+        assert len(seen) == 2
+        assert all(np.abs(m[:2, :2]).sum(axis=0).max() <= 0.5 for m in seen)
+        assert report.passed, (report.mean_error, report.cov_error)
 
 
 class TestValidationSuite:
     def test_reduced_suite_passes(self):
-        reports = run_kernel_validation(seed=0, replicas=20_000, substeps=512, n_cases=3)
+        reports = run_kernel_validation(seed=0, n_cases=3)
         assert len(reports) == 3
-        assert all(r.passed(threshold=5.0) for r in reports)
+        assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_cases_pass(self, seed):
+        reports = run_kernel_validation(seed=seed)
+        assert len(reports) == 10
+        assert all(r.passed for r in reports), [(r.mean_error, r.cov_error) for r in reports]
+
+    def test_cases_reach_the_series_branch_and_stiff_modes(self):
+        s = np.concatenate(
+            [
+                case.config.gamma * case.config.A.eig.values * case.delta
+                for seed in range(5)
+                for case in kernel_validation_cases(seed)
+            ]
+        )
+        assert s.min() < 1e-3 and s.max() > 25.0
+
+    @pytest.mark.parametrize("row", [0, 1, 2], ids=["cov_yy", "cov_yw", "cov_ww"])
+    def test_a_skewed_covariance_row_fails_every_case(self, monkeypatch, capsys, row):
+        _skew_modes(monkeypatch, 2, row)
+        assert not any(r.passed for r in run_kernel_validation())
+        assert cli.main(["validate-kernel"]) == cli.NUMERICAL_EXIT
+        assert capsys.readouterr().out.count("FAIL") == 10
+
+    def test_a_skewed_gradient_weight_fails(self, monkeypatch):
+        _skew_modes(monkeypatch, 1, 0)
+        assert not all(r.passed for r in run_kernel_validation())

@@ -95,8 +95,8 @@ def _print_warnings(method: str, epsilon: float, notes) -> None:
 def _cmd_sample(args) -> int:
     config = _load_config(args)
     method = args.method or config.methods[0]
-    if method not in experiment.METHODS:
-        raise ConfigError(f"unknown method {method!r}")
+    if method not in config.methods:
+        raise ConfigError(f"method {method!r} is not among the config's methods")
     setup = experiment.prepare_run(config, (method,))
     target, init = setup.target, setup.init
     chain_config = setup.chain_config(method)
@@ -179,6 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the output directory")
         return p
 
+    def count(text: str) -> int:  # a positive int; argparse names it in its errors
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+        return int(text)
+
     with_config(sub.add_parser("tune", help="print the scaling recipe for the target"))
     with_config(sub.add_parser("plan", help="print (delta, n) for both methods"))
 
@@ -210,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate-kernel", help="check the step kernel against its matrix exponential"
     )
     p_validate.add_argument("--seed", type=int, default=0)
-    p_validate.add_argument("--cases", type=int, default=10)
+    p_validate.add_argument("--cases", type=count, default=10)
 
     p_w2 = sub.add_parser("w2", help="W2 between two sample files")
     p_w2.add_argument("file_a")

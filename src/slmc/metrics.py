@@ -105,13 +105,13 @@ def gaussian_w2(a: GaussianSummary, b: GaussianSummary) -> float:
     """
     if a.cov.dim != b.cov.dim:
         raise InvalidInput("summaries have different dimensions")
-    if b.cov.eig.perm is None:
-        root_b = spd_sqrt(b.cov, clip_negative=True).mat
-        inner = root_b @ a.cov.mat @ root_b
-    else:  # the products with the diagonal root of S_b, entry by entry
+    if b.cov.is_diagonal:  # the products with the diagonal root of S_b, entry by entry
         s = np.sqrt(np.clip(b.cov.diag, 0.0, None))
         inner = a.cov.mat * s[:, None]
         inner *= s
+    else:
+        root_b = spd_sqrt(b.cov, clip_negative=True).mat
+        inner = root_b @ a.cov.mat @ root_b
     spectrum = np.linalg.eigvalsh(inner)
     cross = float(np.sqrt(np.clip(spectrum, 0.0, None)).sum())
     mean_term = float(np.sum((a.mean - b.mean) ** 2))

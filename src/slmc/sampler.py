@@ -19,12 +19,9 @@ s = gamma a d (writing d for delta) each pair moves as
 The covariance does not depend on the state, and the cross term is
 structurally nonzero, so each pair is drawn jointly through its closed-form
 lower 2x2 Cholesky factor. A diagonal A (the unscaled A = I included) is
-stored as its d entries, V is a permutation, and the chain steps in the
-original coordinates: its per-mode coefficients are permuted when the batch
-lays out its rows (at the start and at each cell's end), and its noise once
-per block; no step indexes by the permutation, and nothing is permuted when
-the entries are already ascending (the permutation is the identity). Such a
-cell's cache and steps hold no d x d array. A batch with a dense A changes
+read by its entries, its eigenvalues in coordinate order, with V = I: such a
+cell steps in x, mode i being coordinate i, draws its noise there, and its
+cache and steps hold no d x d array. A batch with a dense A changes
 variables once instead: it steps in y = x V, where A is diagonal, on the
 target's gradient there (``TargetModel.grad_in_frame``), so no step
 multiplies by V. Its other A's must be diagonal in y too: the same A, or a
@@ -120,7 +117,8 @@ def _cov_xx_shape(s: np.ndarray) -> np.ndarray:
 
 
 def _modes(config: ScalingConfig, delta: float):
-    """The per-eigenvalue closed forms of one step, in the order of ``config.A.eig``.
+    """The per-mode closed forms of one step: a diagonal A's modes are its entries
+    in coordinate order (V = I), a dense A's its ascending eigenvalues.
 
     Returns ``(mean_w, mean_g, cov)``: ``mean_w`` and ``mean_g`` are
     (2, d) rows (y, w) weighting w and h in the step mean, ``cov`` holds
@@ -128,9 +126,10 @@ def _modes(config: ScalingConfig, delta: float):
     """
     if not (delta > 0.0 and np.isfinite(delta)):
         raise InvalidInput("step size delta must be positive")
-    pair = config.A.eig
+    a = config.A
+    modes = a.diag if a.is_diagonal else a.eig.values
     u = config.u
-    ga = config.gamma * pair.values
+    ga = config.gamma * modes
     s = ga * delta
     one_minus = -np.expm1(-s)  # 1 - e^{-s}, accurate for small s
     mean_w = np.stack([one_minus / ga, np.exp(-s)])
@@ -149,11 +148,9 @@ def _modes(config: ScalingConfig, delta: float):
 class StepCache:
     """One step of fixed (A, gamma, u, delta), stored per eigenvalue of A.
 
-    ``perm`` is ``config.A.eig.perm``: for a diagonal A, V is a permutation, and
-    ``perm`` and its inverse ``unperm`` index in place of products with V and
-    V^T (``unperm`` is None when ``perm`` is the identity). For a non-diagonal A
-    both are None, and a batch steps in the eigenvectors ``config.A.eig.vectors``.
-    Every other array is per mode, indexed by eigenvalue along its last axis:
+    ``vectors`` names the frame the modes live in: None for a diagonal A, whose
+    modes are its coordinates, else A's eigenvectors V, in whose y = x V a batch
+    steps. Every other array is per mode, indexed by eigenvalue along its last axis:
     ``mean_w`` and ``mean_g`` are the (2, d) rows (y, w) by which the
     step mean weights the velocity w = V^T v and the gradient h = V^T g,
     and ``factor[i, j]`` is entry (i, j) of each mode's lower 2x2
@@ -164,8 +161,7 @@ class StepCache:
     config: ScalingConfig
     delta: float
     dim: int
-    perm: np.ndarray | None
-    unperm: np.ndarray | None
+    vectors: np.ndarray | None
     mean_w: np.ndarray
     mean_g: np.ndarray
     factor: np.ndarray
@@ -175,10 +171,11 @@ def kernel_moments(
     state: ChainState, grad: np.ndarray, config: ScalingConfig, delta: float
 ) -> KernelMoments:
     """Exact first and second moments of one frozen-gradient step, assembled
-    with dense products by V: the reference the indexed step is tested against."""
+    with dense products by V (I for a diagonal A): the reference the step is
+    tested against."""
     mean_w, mean_g, cov = _modes(config, delta)
-    vectors = config.A.eig.vectors
-    d = vectors.shape[0]
+    d = mean_w.shape[-1]
+    vectors = np.eye(d) if config.A.is_diagonal else config.A.eig.vectors
     g = np.asarray(grad, dtype=float)
     if g.shape != (d,) or state.dim != d:
         raise InvalidInput("state/gradient dimension does not match A")
@@ -218,16 +215,11 @@ def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
         raise NotPositiveDefinite(
             f"step covariance is not positive definite at delta = {delta:.3e}"
         )
-    perm, unperm = config.A.eig.perm, None
-    if perm is not None and not np.array_equal(perm, np.arange(perm.size)):
-        unperm = np.empty_like(perm)
-        unperm[perm] = np.arange(perm.size)  # argsort(perm); a sort would page in ~0.3 MB more
     return StepCache(
         config=config,
         delta=delta,
         dim=mean_w.shape[-1],
-        perm=perm,
-        unperm=unperm,
+        vectors=None if config.A.is_diagonal else config.A.eig.vectors,
         mean_w=mean_w,
         mean_g=mean_g,
         factor=factor,
@@ -250,9 +242,8 @@ class _Rows(NamedTuple):
     """Per-row step coefficients of a batch of R rows: ``mean`` (2, 2, R, d) holds
     (mean_w, mean_g) and ``factor`` (2, 2, R, d) the factor, as in ``StepCache``
     with a row axis before the modes, so that each (R, d) plane is contiguous. Each
-    (lo, hi, turn) of ``turns`` maps the per-mode noise of rows lo..hi-1 into the
-    batch's coordinates: by a diagonal A's inverse permutation, as their ``mean``
-    (none for the identity), or, for a multiple of I beside a dense A, by its V.
+    (lo, hi, vectors) of ``turns`` names rows lo..hi-1 of a multiple of I beside a
+    dense A, whose noise, drawn in x, turns into the batch's y = x ``vectors``.
     ``labels`` names each row's cell."""
 
     mean: np.ndarray
@@ -269,16 +260,11 @@ def _batch_rows(parts, vectors: np.ndarray | None) -> _Rows:
     def rows(arrays):  # (2, 2, d) per cache -> (2, 2, R, d)
         return np.repeat(np.stack(arrays, axis=2), counts, axis=2)
 
-    def turn(cache):
-        if vectors is not None:  # a dense A's modes are the frame, a multiple of I's noise turns
-            return None if cache.perm is None else (lambda z: z @ vectors)
-        return None if cache.unperm is None else (lambda z: z.take(cache.unperm, axis=-1))
-
-    means = [np.stack((c.mean_w, c.mean_g)) for c in caches]
+    turned = [(a, a + n, vectors) for a, n, c in zip(firsts, counts, caches) if c.vectors is None]
     return _Rows(
-        rows([m if c.unperm is None else m.take(c.unperm, axis=-1) for m, c in zip(means, caches)]),
+        rows([np.stack((c.mean_w, c.mean_g)) for c in caches]),
         rows([c.factor for c in caches]),
-        tuple((a, a + n, f) for a, n, f in zip(firsts, counts, map(turn, caches)) if f is not None),
+        () if vectors is None else tuple(turned),
         tuple(label for _, n, label in parts for _ in range(n)),
     )
 
@@ -300,8 +286,8 @@ def _noise_blocks(rows: _Rows, rngs, n_steps: int):
         np.multiply(l_yy, z[:, 0], out=out[:, 0])  # l_yw = 0
         np.multiply(l_wy, z[:, 0], out=out[:, 1])
         out[:, 1] += np.multiply(l_ww, z[:, 1], out=z[:, 1])
-        for lo, hi, turn in rows.turns:
-            out[..., lo:hi, :] = turn(out[..., lo:hi, :])
+        for lo, hi, vectors in rows.turns:
+            out[..., lo:hi, :] = out[..., lo:hi, :] @ vectors
         yield out
 
 
@@ -312,9 +298,9 @@ class _Batch:
     multiple of I; else in x. ``rows``, ``xv`` and ``grad`` are in those coordinates."""
 
     def __init__(self, target: TargetModel, parts, xv: np.ndarray):
-        vs = [c.config.A.eig.vectors for c, _, _ in parts if c.perm is None]
-        ws = [c.config.A.eig.values for c, _, _ in parts if c.perm is not None]
-        if vs and (any(w[0] < w[-1] for w in ws) or any((v != vs[0]).any() for v in vs)):
+        vs = [c.vectors for c, _, _ in parts if c.vectors is not None]
+        diags = [c.config.A.diag for c, _, _ in parts if c.vectors is None]
+        if vs and (any(a.min() < a.max() for a in diags) or any((v != vs[0]).any() for v in vs)):
             raise InvalidInput("a batch with a dense A holds only A's of its V or multiples of I")
         self.vectors, self.grad, self.back = None, target.grad_oracle, lambda a: a
         if vs:  # V^T stored C-contiguous: a row then rounds alike in any batch

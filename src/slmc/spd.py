@@ -8,11 +8,12 @@ eigendecomposition: ``eig`` runs one full symmetric eigensolve on first
 use and every later reader shares the result, so each matrix is
 decomposed at most once (a diagonal is sorted into its decomposition
 and skips the solver). Matrix functions such as inverses and square
-roots are assembled from it as ``V diag(fn(w)) V^T``, or put back on
-the diagonal when V is a permutation; at the moderate dimensions this
-package targets (d <= 4096) one eigendecomposition is cheaper and more
-flexible than scheme-specific algorithms. Nothing here adds jitter: a
-matrix outside the domain of a function is an error.
+roots are assembled from it as ``V diag(fn(w)) V^T``, or, for a diagonal,
+applied to its entries; at the moderate dimensions this package targets
+(d <= 4096) one eigendecomposition is cheaper and more flexible than
+scheme-specific algorithms. Code outside this module reads a diagonal by
+``is_diagonal`` and ``diag``, in coordinate order. Nothing here adds
+jitter: a matrix outside the domain of a function is an error.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ _SYM_RTOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class EigenPair:
     """Ascending eigenvalues and the matching orthonormal eigenvectors (columns).
-    For a diagonal matrix whose V is a permutation (column j is e_perm[j]),
-    ``perm`` makes ``z[..., perm]`` equal ``z @ V`` bit for bit, and V is not
-    stored: ``vectors`` builds it, read-only, on each read. Else ``perm`` is
-    None and ``dense`` holds V."""
+    For a diagonal matrix V is a permutation (column j is e_perm[j]) and is not
+    stored: ``vectors`` builds it, read-only, on each read, from ``perm``. Else
+    ``perm`` is None and ``dense`` holds V. ``perm`` is internal to this module:
+    elsewhere a diagonal is read by ``SymMatrix.is_diagonal`` and ``diag``."""
 
     values: np.ndarray
     perm: np.ndarray | None
@@ -128,9 +129,9 @@ class SymMatrix:
                 array.setflags(write=False)
         return EigenPair(values=values, perm=perm, dense=vectors)
 
-    @property
+    @cached_property
     def is_diagonal(self) -> bool:
-        """Whether every off-diagonal entry is zero (O(1) for ``diagonal``'s matrices)."""
+        """Whether every off-diagonal entry is zero; kept, and O(1) for ``diagonal``'s matrices."""
         if self._entries is not None:
             return True
         return np.count_nonzero(self._dense) == np.count_nonzero(self.diag)
@@ -148,28 +149,27 @@ def _check_entries(m: np.ndarray) -> None:
 def spd_apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> SymMatrix:
     """Apply a scalar function to a symmetric matrix through its spectrum.
 
-    ``fn`` receives the ascending eigenvalue vector and must return the
-    transformed eigenvalues as a vector of the same shape, else
-    ``InvalidInput`` is raised. The result is ``V diag(fn(w)) V^T``,
-    built from the decomposition kept on ``m``; when V is a permutation
-    the values are put back on the diagonal instead, and the result is
-    stored as a diagonal.
+    ``fn`` receives the eigenvalue vector and must return the transformed
+    eigenvalues as a vector of the same shape, else ``InvalidInput`` is
+    raised; it must act elementwise. For a diagonal ``m`` the eigenvalues
+    are its entries in their own order, and the result is the diagonal
+    ``fn(diag)``. Else they are ascending, and the result is
+    ``V diag(fn(w)) V^T``, built from the decomposition kept on ``m``.
 
     Raises ``SingularMatrix`` when ``fn`` produces a non-finite value on
     any eigenvalue, e.g. inverting a singular matrix.
     """
-    pair = m.eig
+    values = m.diag if m.is_diagonal else m.eig.values
     with np.errstate(all="ignore"):
-        w = np.asarray(fn(pair.values), dtype=float)
-    if w.shape != pair.values.shape:
-        raise InvalidInput(f"fn returned shape {w.shape} for {pair.values.shape} eigenvalues")
+        w = np.asarray(fn(values), dtype=float)
+    if w.shape != values.shape:
+        raise InvalidInput(f"fn returned shape {w.shape} for {values.shape} eigenvalues")
     if not np.all(np.isfinite(w)):
         raise SingularMatrix("matrix function undefined on part of the spectrum")
-    if pair.perm is not None:
-        diagonal = np.empty_like(w)
-        diagonal[pair.perm] = w
-        return SymMatrix.diagonal(diagonal)
-    return SymMatrix((pair.vectors * w) @ pair.vectors.T)
+    if m.is_diagonal:
+        return SymMatrix.diagonal(w)
+    vectors = m.eig.vectors
+    return SymMatrix((vectors * w) @ vectors.T)
 
 
 def spd_sqrt(m: SymMatrix, clip_negative: bool = False) -> SymMatrix:

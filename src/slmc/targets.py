@@ -134,7 +134,7 @@ def make_gaussian(
     lo, hi = float(spectrum[0]), float(spectrum[-1])
     if lo <= 0.0:
         raise InvalidInput(f"precision matrix is not SPD (lambda_min = {lo:.3e})")
-    p, diag = (precision.mat, None) if precision.eig.perm is None else (None, precision.diag)
+    p, diag = (None, precision.diag) if precision.is_diagonal else (precision.mat, None)
 
     def value(x: np.ndarray) -> float:
         r = x - mean
@@ -323,7 +323,7 @@ def sample_exact_positions(
     cov = target.position_cov
     if cov is None:
         raise InvalidInput(f"target {target.name!r} has no closed-form sampler")
-    if cov.eig.perm is not None:
+    if cov.is_diagonal:
         variances = cov.diag
         if not (variances > 0.0).all():
             raise NotPositiveDefinite("position covariance has a non-positive variance")

@@ -25,6 +25,19 @@ PINNED_RESULTS = (
     b"gaussian-d2,unscaled,4,4,0,0.5,0.05,500,1000,0.128386937,0.315967018,1.00800684,0\n"
 )
 
+UNSORTED_CONFIG = CONFIG.replace("precision_diag = 1, 4", "precision_diag = 4, 1, 2").replace(
+    "n_steps = 500", "n_steps = 2000"
+)
+
+#: ``results.csv`` of ``compare`` on UNSORTED_CONFIG at seed 7. Its scaled A is the
+#: non-ascending diagonal u * (4, 1, 2), whose mode i is coordinate i and draws
+#: coordinate i's noise; its unscaled A = I reads the same in any order.
+PINNED_UNSORTED_RESULTS = (
+    b"target,method,kappa,kappa_hat,theta,epsilon,delta,n,grad_calls,w2_gauss,w2_empirical,vel_ratio,wall_ms\n"
+    b"gaussian-d3,scaled,4,4,0,0.5,0.05,2000,4000,0.231601775,0.383195195,0.98647373,0\n"
+    b"gaussian-d3,unscaled,4,4,0,0.5,0.05,2000,4000,0.539694935,0.639268278,1.0115801,0\n"
+)
+
 LOGISTIC_CONFIG = """
 [target]
 kind = logistic
@@ -123,6 +136,16 @@ class TestSample:
         assert code == 0
         assert (out_dir / "samples_unscaled.csv").exists()
 
+    def test_method_outside_the_config_is_a_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "scaled_only.cfg"
+        config_path.write_text(CONFIG.replace("methods = scaled, unscaled", "methods = scaled"))
+        out_dir = tmp_path / "out"
+        argv = ["sample", "--config", str(config_path), "--out", str(out_dir), "--method", "unscaled"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("slmc: config error:")
+        assert not out_dir.exists()
+
     def test_reports_the_warnings_compare_reports(self, tmp_path, capsys):
         # the overridden delta 0.05 exceeds the stationary-energy cap 4.66e-2 of
         # the scaled recipe on this target at eps = 40
@@ -171,6 +194,14 @@ class TestCompare:
         assert main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "results.csv").read_bytes() == PINNED_RESULTS
 
+    def test_unsorted_diagonal_results_bytes_pinned(self, tmp_path):
+        config_path = tmp_path / "unsorted.cfg"
+        config_path.write_text(UNSORTED_CONFIG)
+        out_dir = tmp_path / "out"
+        argv = ["compare", "--config", str(config_path), "--out", str(out_dir), "--seed", "7"]
+        assert main(argv) == 0
+        assert (out_dir / "results.csv").read_bytes() == PINNED_UNSORTED_RESULTS
+
     def test_logistic_results_bytes_pinned(self, tmp_path):
         rng = np.random.default_rng(5)
         features = rng.standard_normal((60, 3))
@@ -190,6 +221,12 @@ class TestValidateKernel:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_no_cases_is_a_usage_error(self, capsys, cases):
+        # a check that checks nothing must not pass
+        assert main(["validate-kernel", f"--cases={cases}"]) == USAGE_EXIT
+        assert "kernel cases passed" not in capsys.readouterr().out
 
     def test_removed_monte_carlo_flag_is_a_usage_error(self):
         assert main(["validate-kernel", "--replicas", "5"]) == USAGE_EXIT

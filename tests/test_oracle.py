@@ -53,6 +53,22 @@ class TestExactStepMoments:
         assert all(np.abs(m[:2, :2]).sum(axis=0).max() <= 0.5 for m in seen)
         assert report.passed, (report.mean_error, report.cov_error)
 
+    def test_unsorted_diagonal_a_passes(self):
+        # a diagonal A's modes are its entries in coordinate order, checked against
+        # the matrix exponential of the dense A; the suite's own cases are rotated
+        rng = np.random.default_rng(11)
+        entries = np.exp(rng.uniform(math.log(1e-4), math.log(1e3), size=4))
+        assert not np.all(np.diff(entries) > 0)
+        case = KernelCase(
+            label="unsorted-diagonal",
+            config=make_config(SymMatrix.diagonal(entries), u=1.3),
+            state=ChainState(x=rng.standard_normal(4), v=rng.standard_normal(4)),
+            grad=rng.standard_normal(4),
+            delta=0.5,
+        )
+        report = check_case(case)
+        assert report.passed, (report.mean_error, report.cov_error)
+
 
 class TestValidationSuite:
     def test_reduced_suite_passes(self):

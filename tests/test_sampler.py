@@ -184,23 +184,31 @@ class TestStepCache:
         assert eigs[0] >= -1e-12 * eigs[-1]
 
     def test_mode_factors_reproduce_joint_covariance(self):
-        # s = gamma * a * delta runs from 1e-6 to 1e3, across the cov_xx series switch
+        # s = gamma * a * delta runs from 1e-6 to 1e3, across the cov_xx series switch.
+        # An unsorted diagonal A is read with V = I: its mode i is coordinate i, whose
+        # factor is that of the d = 1 step on entry i
         rng = np.random.default_rng(37)
-        a = random_spd(rng, 4, lo=1.0, hi=10.0)
-        config = make_config(a, u=1.7)
+        dense = random_spd(rng, 4, lo=1.0, hi=10.0)
+        entries = [4.0, 1.0, 10.0, 2.5]
         zeros = np.zeros(4)
-        for delta in np.geomspace(1e-6, 1e2, 17):
-            cache = make_step_cache(config, float(delta))
-            (l_yy, _), (l_wy, l_ww) = cache.factor
-            vec = cache.config.A.eig.vectors
-            mom = kernel_moments(ChainState(x=zeros, v=zeros), zeros, config, float(delta))
-            for exact, per_mode in (
-                (mom.cov_xx.mat, l_yy**2),
-                (mom.cov_xv, l_yy * l_wy),
-                (mom.cov_vv.mat, l_wy**2 + l_ww**2),
-            ):
-                rebuilt = (vec * per_mode) @ vec.T
-                assert np.abs(rebuilt - exact).max() <= 1e-12 * np.abs(exact).max()
+        for a, vec in ((dense, dense.eig.vectors), (SymMatrix.diagonal(entries), np.eye(4))):
+            config = make_config(a, u=1.7)
+            for delta in np.geomspace(1e-6, 1e2, 17):
+                cache = make_step_cache(config, float(delta))
+                (l_yy, _), (l_wy, l_ww) = cache.factor
+                mom = kernel_moments(ChainState(x=zeros, v=zeros), zeros, config, float(delta))
+                for exact, per_mode in (
+                    (mom.cov_xx.mat, l_yy**2),
+                    (mom.cov_xv, l_yy * l_wy),
+                    (mom.cov_vv.mat, l_wy**2 + l_ww**2),
+                ):
+                    rebuilt = (vec * per_mode) @ vec.T
+                    assert np.abs(rebuilt - exact).max() <= 1e-12 * np.abs(exact).max()
+                if a.is_diagonal:
+                    alone = [make_step_cache(make_config(SymMatrix([[e]]), u=1.7), float(delta))
+                             for e in entries]
+                    one_d = np.concatenate([c.factor for c in alone], axis=-1)
+                    assert np.allclose(cache.factor, one_d, rtol=1e-14, atol=0.0)
 
     def test_underflowing_covariance_raises(self):
         # cov_xx ~ delta^3 underflows to zero: no jitter, an explicit failure
@@ -274,7 +282,7 @@ class TestStep:
 
 
 class TestIndexPath:
-    """A diagonal A has a permutation V: the step indexes instead of multiplying."""
+    """A diagonal A has V = I: the step runs in x, coordinate by coordinate, with no product by V."""
 
     @staticmethod
     def unsorted_target():
@@ -289,7 +297,7 @@ class TestIndexPath:
         else:
             config = unscaled_config(target)
         cache = make_step_cache(config, 0.1)
-        assert cache.perm is not None
+        assert cache.vectors is None
         state = ChainState(x=np.array([0.3, 1.2, -0.8]), v=np.array([-0.4, 0.1, 0.9]))
         out = step(state, target, cache, ZeroRng())
         mom = kernel_moments(state, target.grad_oracle(state.x), config, 0.1)
@@ -298,44 +306,39 @@ class TestIndexPath:
 
     @pytest.mark.parametrize("method", ["scaled", "unscaled"])
     def test_noisy_step_equals_products_by_the_permutation_matrix(self, method):
-        # a product by a permutation matrix is exact, so the dense path with that
-        # V must give the indexed path's step bit for bit, noise included
+        # a diagonal A's modes are its coordinates, so its permutation matrix is I, and
+        # a product by I is exact: the frame path with V = I must give the coordinate
+        # path's step bit for bit, noise included
         target = self.unsorted_target()
         if method == "scaled":
             config = scaled_params(target, estimate_theta(target, [np.zeros(3)], [np.zeros(3)]))
         else:
             config = unscaled_config(target)
         cache = make_step_cache(config, 0.1)
-        dense = replace(cache, perm=None, unperm=None)
+        framed = replace(cache, vectors=np.eye(3))
         state = ChainState(x=np.array([0.3, 1.2, -0.8]), v=np.array([-0.4, 0.1, 0.9]))
         out = step(state, target, cache, np.random.default_rng(8))
-        ref = step(state, target, dense, np.random.default_rng(8))
+        ref = step(state, target, framed, np.random.default_rng(8))
         assert np.array_equal(out.x, ref.x) and np.array_equal(out.v, ref.v)
 
-    @pytest.mark.parametrize("method", ["scaled", "unscaled"])
-    @pytest.mark.parametrize("entries", [[1.0, 2.0, 4.0], [4.0, 1.0, 2.0]], ids=["sorted", "unsorted"])
-    def test_identity_permutation_gathers_nothing(self, method, entries):
-        # an ascending diagonal A has the identity permutation: the cache records
-        # no unperm, and an explicit identity gather gives the same steps bit for bit
-        target = make_gaussian(np.array([0.5, -1.0, 2.0]), SymMatrix.diagonal(entries))
-        if method == "scaled":
-            config = scaled_params(target, estimate_theta(target, [np.zeros(3)], []))
-        else:
-            config = unscaled_config(target)
-        cache = make_step_cache(config, 0.1)
-        identity = np.array_equal(cache.perm, np.arange(3))
-        assert identity == (method == "unscaled" or entries == sorted(entries))
-        assert (cache.unperm is None) == identity
-        gathered = replace(cache, unperm=np.arange(3)) if identity else cache
-        out = ref = ChainState(x=np.array([0.3, 1.2, -0.8]), v=np.array([-0.4, 0.1, 0.9]))
-        rng_out, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
-        for _ in range(3):
-            out, ref = step(out, target, cache, rng_out), step(ref, target, gathered, rng_ref)
-            assert np.array_equal(out.x, ref.x) and np.array_equal(out.v, ref.v)
+    def test_stored_and_dense_diagonal_a_run_bit_identically(self):
+        # an unsorted diagonal A, kept as its entries or as a dense array, is read
+        # by its entries either way: the same modes, noise and states
+        target = self.unsorted_target()
+        entries = [2.5, 0.5, 1.5]
+        init = InitSpec.from_point(target, np.array([1.0, 2.0, -1.0]))
+        runs = [
+            run_chains(init, target, make_config(a, u=0.8), 0.05, 300,
+                       [np.random.default_rng(s) for s in (3, 4)], burn_in=20, thin=7)
+            for a in (SymMatrix.diagonal(entries), SymMatrix(np.diag(entries)))
+        ]
+        for got, want in zip(*runs):
+            assert np.array_equal(got.xs, want.xs) and np.array_equal(got.vs, want.vs)
 
     def test_dense_a_keeps_the_matrix_products(self):
-        cache = make_step_cache(make_config(random_spd(np.random.default_rng(43), 3)), 0.1)
-        assert cache.perm is None and cache.unperm is None
+        config = make_config(random_spd(np.random.default_rng(43), 3))
+        cache = make_step_cache(config, 0.1)
+        assert cache.vectors is config.A.eig.vectors
 
     @pytest.mark.parametrize("dense", [False, True], ids=["index", "dense"])
     def test_non_finite_gradient_raises_at_its_step(self, dense):
@@ -806,7 +809,7 @@ class TestDenseFrame:
         counted = replace(target, grad_oracle=lambda x: (calls.append(len(x)), target.grad_oracle(x))[1])
         calls.clear()  # discard the contract check made on construction
         cache = make_step_cache(make_config(random_spd(np.random.default_rng(53), 3)), 0.1)
-        assert cache.perm is None
+        assert cache.vectors is not None
 
         def refuse(self):
             raise AssertionError("a target was built")

@@ -179,10 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the output directory")
         return p
 
-    def count(text: str) -> int:  # a positive int; argparse names it in its errors
-        if int(text) < 1:
-            raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    def at_least(lo: int, text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
         return int(text)
+
+    def count(text: str) -> int:  # argparse names these types in its errors
+        return at_least(1, text)
+
+    def nonnegative(text: str) -> int:
+        return at_least(0, text)
 
     with_config(sub.add_parser("tune", help="print the scaling recipe for the target"))
     with_config(sub.add_parser("plan", help="print (delta, n) for both methods"))
@@ -198,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--format", choices=("csv", "bin"), default="csv")
     p_sample.add_argument("--method", choices=experiment.METHODS, default=None)
     p_sample.add_argument("--trace", action="store_true", help="log a W2 convergence curve")
-    p_sample.add_argument("--trace-every", type=int, default=None)
+    p_sample.add_argument("--trace-every", type=count, default=None)
 
     p_compare = with_config(sub.add_parser("compare", help="full experiment matrix to CSV"))
     p_compare.add_argument(
@@ -214,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser(
         "validate-kernel", help="check the step kernel against its matrix exponential"
     )
-    p_validate.add_argument("--seed", type=int, default=0)
+    p_validate.add_argument("--seed", type=nonnegative, default=0)
     p_validate.add_argument("--cases", type=count, default=10)
 
     p_w2 = sub.add_parser("w2", help="W2 between two sample files")

@@ -387,7 +387,10 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
     Every cell is planned first, so an inapplicable plan raises before any
     chain runs. The chains of all cells then run as one batch
     (:func:`run_cells`), which hands over each cell as it ends: its
-    ``vel_ratio`` is taken there and its W2 evaluation queued. min(cells,
+    ``vel_ratio`` is taken there, from the |v|^2 of its kept states, and its
+    W2 evaluation queued. A cell keeps its full positions only when the
+    target has closed-form moments, for W2, and never its velocities, so a
+    run without W2 holds no (chains, kept, d) array. min(cells,
     available CPUs) - 1 threads, started before the batch, each evaluate the
     lowest-numbered cell ready, so evaluations overlap the steps of longer
     cells (the matching, LAPACK and BLAS release the GIL); the calling thread
@@ -410,6 +413,7 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
 
     cells = list(product(config.methods, config.epsilons))
     plans = [setup.cell(config, method, epsilon) for method, epsilon in cells]
+    keep = "" if summary is None else "x"  # positions only for W2; vel_ratio reads |v|^2
     specs = []
     for cell_index, ((method, epsilon), (delta, n_steps, burn_in, _)) in enumerate(zip(cells, plans)):
         rngs = tuple(
@@ -418,30 +422,33 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
         )
         label = f"{method} eps={epsilon:g}"
         chain_config = setup.chain_config(method)
-        specs.append(Cell(init, chain_config, delta, n_steps, rngs, config.thin, burn_in, label=label))
+        specs.append(
+            Cell(init, chain_config, delta, n_steps, rngs, config.thin, burn_in, label=label, keep=keep)
+        )
     d = target.dim
     total_steps = sum(spec.n_steps * len(spec.rngs) for spec in specs)
     if summary is not None:  # shared by the evaluation threads, so set up on this one
-        summary.cov.eig  # the target's position covariance, decomposed
+        if not summary.cov.is_diagonal:
+            summary.cov.eig  # the target's dense position covariance, decomposed
         import_solvers()
     vel_ratios, positions = [None] * len(cells), [None] * len(cells)
     evaluations, errors = [None] * len(cells), [None] * len(cells)
     ready = queue.PriorityQueue()  # cell indices; -1 and len(cells) stop a thread
 
     def hand_over(cell_index: int, run) -> None:
-        """Take a finished cell's velocity ratio and queue its positions."""
+        """Take a finished cell's velocity ratio and queue its positions, if kept."""
         u = specs[cell_index].config.u
-        vel_ratios[cell_index] = float((run.vs.reshape(-1, d) ** 2).sum(axis=1).mean() / (u * d))
+        vel_ratios[cell_index] = float(run.speed_sq.mean() / (u * d))
         positions[cell_index] = run.xs
         ready.put(cell_index)
 
     def evaluate(cell_index: int) -> tuple[float, float, float]:
         """W2 to the target by moments and by exact matching, and the milliseconds taken."""
         start = time.monotonic()
-        pooled_x = positions[cell_index].reshape(-1, d)
-        positions[cell_index] = None  # freed with pooled_x once the batch is done, before the matching
         if summary is None:
             return float("nan"), float("nan"), (time.monotonic() - start) * 1e3
+        pooled_x = positions[cell_index].reshape(-1, d)
+        positions[cell_index] = None  # freed with pooled_x once the batch is done, before the matching
         w2_gauss = gaussian_w2(moment_summary(SampleCloud.from_points(pooled_x)), summary)
         sub = _even_subsample(pooled_x, EMPIRICAL_W2_CAP)
         del pooled_x

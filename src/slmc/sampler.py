@@ -38,8 +38,10 @@ call on the positions of every row still running and one update; the
 blow-up guard checks each block once, at its end, in the batch's
 coordinates. Cells are ordered by descending n, so the rows still running
 are always one contiguous range, and a cell's rows leave it after its last
-step, when ``run_cells`` can hand the cell over. ``run_chains``,
-``run_chain``, ``step`` and ``coupled_pair_run`` are batches of one cell.
+step, when ``run_cells`` can hand the cell over. Of each kept state a cell
+stores |v|^2, and its full position and velocity only where its ``keep``
+names them. ``run_chains``, ``run_chain``, ``step`` and ``coupled_pair_run``
+are batches of one cell, which keep both.
 Each chain draws its noise from its own generator in blocks of K steps; a
 (K, 2, d) draw is the same stream as K (2, d) draws, K keeps a block within
 NOISE_BLOCK_DOUBLES, and blocks are cut at every cell's end. A chain's
@@ -389,7 +391,9 @@ class Cell:
     """The chains of one (config, delta) in a run batch: one per generator of
     ``rngs``, each from (x0, 0), or from v ~ N(0, u I) with
     ``stationary_velocity_init``, for ``n_steps`` steps, keeping every thin-th
-    state after ``burn_in``. ``label`` names the cell in a ``NumericalBlowup``."""
+    state after ``burn_in``: its |v|^2 always, and in full its position if
+    ``keep`` holds "x" and its velocity if it holds "v". ``label`` names the
+    cell in a ``NumericalBlowup``."""
 
     init: InitSpec
     config: ScalingConfig
@@ -400,21 +404,25 @@ class Cell:
     burn_in: int = 0
     stationary_velocity_init: bool = False
     label: str | None = None
+    keep: str = "xv"
 
 
 @dataclass(frozen=True, eq=False)
 class CellRun:
-    """Retained states of one cell's C chains, ``xs`` and ``vs`` each (C, kept, d),
-    taken at ``steps``; ``final`` is each chain's last (x; v), (C, 2, d)."""
+    """Retained states of one cell's C chains, taken at ``steps``: ``speed_sq``
+    (C, kept) holds each state's |v|^2, ``xs`` and ``vs`` (C, kept, d) its position
+    and velocity, each None unless the cell keeps it. ``final`` is each chain's
+    last (x; v), (C, 2, d)."""
 
-    xs: np.ndarray
-    vs: np.ndarray
+    xs: np.ndarray | None
+    vs: np.ndarray | None
+    speed_sq: np.ndarray
     steps: np.ndarray
     final: np.ndarray
     grad_calls: int
 
     def chains(self) -> list[ChainRun]:
-        """One ``ChainRun`` per chain, viewing this cell's arrays."""
+        """One ``ChainRun`` per chain, viewing this cell's arrays (both kept)."""
         return [
             ChainRun(x, v, self.steps, self.grad_calls, ChainState(x=last[0], v=last[1]))
             for x, v, last in zip(self.xs, self.vs, self.final)
@@ -433,12 +441,18 @@ def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
     keeps are turned back into x block by block. ``NumericalBlowup``
     reports the first step at which any chain trips, and that chain's cell.
     ``on_cell(c, run)``, if given, receives cell c's ``CellRun`` as soon as its
-    rows leave the batch, before the batch takes its next step.
+    rows leave the batch, before the batch takes its next step. A cell's kept
+    states are stored as its ``keep`` asks, block by block: their |v|^2, the
+    row sums of squares of the block's velocities, always, and full positions
+    and velocities only if named, so a cell that keeps neither holds C x kept
+    doubles, not 2 C x kept x d.
     """
     caches = []
     for cell in cells:
         if cell.thin < 1 or cell.burn_in < 0:
             raise InvalidInput("thin must be >= 1 and burn_in >= 0")
+        if not set(cell.keep) <= {"x", "v"}:
+            raise InvalidInput(f"keep names states by 'x' and 'v', got {cell.keep!r}")
         if not cell.rngs:
             raise InvalidInput("at least one generator is required")
         caches.append(_checked_cache((cell.init,), target, cell.config, cell.delta, cell.n_steps))
@@ -459,8 +473,9 @@ def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
         cell.burn_in + cell.thin * np.arange(1, (cell.n_steps - cell.burn_in) // cell.thin + 1)
         for cell in cells
     ]
-    xs = [np.empty((len(cell.rngs), s.size, d)) for cell, s in zip(cells, steps)]
-    vs = [np.empty_like(x) for x in xs]
+    sq = [np.empty((len(cell.rngs), s.size)) for cell, s in zip(cells, steps)]
+    xs = [np.empty(q.shape + (d,)) if "x" in cell.keep else None for cell, q in zip(cells, sq)]
+    vs = [np.empty(q.shape + (d,)) if "v" in cell.keep else None for cell, q in zip(cells, sq)]
     runs = [None] * len(cells)
     batch, done, at = None, 0, 0  # rows still stepping; steps taken; batch row of their row 0
     # The rows still running form one range [lo, hi), which shrinks at each cell's end.
@@ -480,15 +495,18 @@ def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
                 cell, (a, b) = cells[c], span[c]
                 j = max(0, (done - cell.burn_in) // cell.thin)  # states kept before this block
                 first = cell.burn_in + cell.thin * (j + 1) - done - 1  # its index in the block
-                picked = path[first : k : cell.thin, :, a - lo : b - lo].transpose(1, 2, 0, 3)
-                xs[c][:, j : j + picked.shape[2]] = picked[0]
-                vs[c][:, j : j + picked.shape[2]] = picked[1]
+                x, v = path[first : k : cell.thin, :, a - lo : b - lo].transpose(1, 2, 0, 3)
+                kept = slice(j, j + x.shape[1])
+                sq[c][:, kept] = (v**2).sum(axis=-1)
+                for store, states in ((xs[c], x), (vs[c], v)):
+                    if store is not None:
+                        store[:, kept] = states
             done += k
         for c, cell in enumerate(cells):
             if cell.n_steps == end:
                 a, b = span[c][0] - lo, span[c][1] - lo
                 final = path[-1, :, a:b].swapaxes(0, 1).copy()  # the last states, in x
-                runs[c] = CellRun(xs[c], vs[c], steps[c], final, cell.n_steps)
+                runs[c] = CellRun(xs[c], vs[c], sq[c], steps[c], final, cell.n_steps)
                 if on_cell is not None:
                     on_cell(c, runs[c])
     return runs

@@ -47,7 +47,7 @@ class ScalingConfig:
             raise InvalidInput("u and gamma must be positive")
         if self.theta < 0.0:
             raise InvalidInput("theta must be nonnegative")
-        if self.A.eig.values[0] <= 0.0:
+        if (self.A.diag.min() if self.A.is_diagonal else self.A.eig.values[0]) <= 0.0:
             raise InvalidInput("scaling matrix A must be SPD")
 
 

@@ -173,6 +173,16 @@ class TestSample:
         assert lines[0] == "step,time,w2_gauss"
         assert len(lines) > 10
 
+    @pytest.mark.parametrize("every", ["0", "-5"])
+    def test_trace_every_below_one_is_a_usage_error(self, config_path, tmp_path, capsys, every):
+        # -5 wrote a header-only trace and 0 fell back to n // 100, both exiting 0
+        out_dir = tmp_path / "out"
+        argv = ["sample", "--config", str(config_path), "--out", str(out_dir), "--trace",
+                f"--trace-every={every}"]
+        assert main(argv) == USAGE_EXIT
+        assert "--trace-every: must be at least 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestCompare:
     def test_writes_results(self, config_path, tmp_path):
@@ -227,6 +237,15 @@ class TestValidateKernel:
         # a check that checks nothing must not pass
         assert main(["validate-kernel", f"--cases={cases}"]) == USAGE_EXIT
         assert "kernel cases passed" not in capsys.readouterr().out
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # a generator takes no negative seed: refused with one line, not a traceback
+        assert main(["validate-kernel", "--seed=-1", "--cases", "1"]) == USAGE_EXIT
+        captured = capsys.readouterr()
+        assert "kernel cases passed" not in captured.out
+        assert captured.err.splitlines()[-1] == (
+            "slmc validate-kernel: error: argument --seed: must be at least 0, got -1"
+        )
 
     def test_removed_monte_carlo_flag_is_a_usage_error(self):
         assert main(["validate-kernel", "--replicas", "5"]) == USAGE_EXIT

@@ -127,6 +127,47 @@ class TestRunExperiment:
         assert np.isnan(row.w2_gauss) and np.isnan(row.w2_empirical)
         assert 0.0 < row.vel_ratio
 
+    @pytest.mark.parametrize("kind", ["gaussian", "logistic"])
+    def test_cells_keep_positions_only_for_w2(self, tmp_path, monkeypatch, kind):
+        # a target without closed-form moments has no W2, so its cells keep no
+        # (chains, kept, d) array; a Gaussian's keep positions and no velocities
+        rng = np.random.default_rng(2)
+        data = np.column_stack(
+            [rng.standard_normal((30, 3)), np.where(rng.standard_normal(30) > 0, 1.0, -1.0)]
+        )
+        np.savetxt(tmp_path / "data.csv", data, delimiter=",")
+        logistic = TargetSpecification(kind="logistic", dataset=str(tmp_path / "data.csv"), ridge=1.0)
+        config = small_config(
+            target=logistic if kind == "logistic" else GAUSS_SPEC,
+            methods=("scaled", "unscaled"),
+            n_override=400,
+            burn_in=100,
+        )
+        run_cells, handed = experiment.run_cells, []
+
+        def recording(target, cells, on_cell):
+            return run_cells(target, cells, lambda c, run: (handed.append(run), on_cell(c, run)))
+
+        monkeypatch.setattr(experiment, "run_cells", recording)
+        rows = run_experiment(config)
+        assert len(handed) == 2
+        for run in handed:
+            assert run.vs is None and run.speed_sq.shape == (config.chains, 300)
+            assert (run.xs is None) == (kind == "logistic")
+        assert all(np.isfinite(row.vel_ratio) for row in rows)
+
+    def test_diagonal_target_covariance_is_not_sorted(self, monkeypatch):
+        prepare_run, setups = experiment.prepare_run, []
+
+        def recording(config):
+            setups.append(prepare_run(config))
+            return setups[-1]
+
+        monkeypatch.setattr(experiment, "prepare_run", recording)
+        run_experiment(small_config(n_override=200, burn_in=100))
+        cov = setups[0].target.position_cov
+        assert cov.is_diagonal and "eig" not in cov.__dict__
+
     def test_inapplicable_plan_with_overrides_becomes_warning(self, tmp_path):
         # a logistic target with wild curvature swings pushes theta past 1/2
         rng = np.random.default_rng(3)

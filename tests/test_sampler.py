@@ -633,6 +633,35 @@ class TestRunCells:
         ])
         self.check_matches_cells_alone(target, cells, exact=False)
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    @pytest.mark.parametrize("d", [3, 20, 37, 130])
+    def test_a_cell_that_keeps_nothing_keeps_the_squared_speeds(self, d, dense):
+        # row sums over d > 8 and > 128 take numpy's pairwise-sum paths; the dense
+        # A steps in its eigenframe and turns each block back into x first
+        rng = np.random.default_rng(d)
+        target = make_gaussian(rng.standard_normal(d), SymMatrix.diagonal(rng.uniform(1.0, 5.0, d)))
+        config = make_config(random_spd(rng, d, lo=1.0, hi=3.0)) if dense else unscaled_config(target)
+        init = InitSpec.from_point(target, np.ones(d))
+        # a two-cell batch, so the kept cell is a strided view of the batch's rows
+        plan = [(config, 0.05, 900, dict(burn_in=40, thin=3, keep=keep)) for keep in ("", "xv", "x")]
+        runs = [run_cells(target, self.cells(init, [entry, (config, 0.05, 1000, {})]))[0] for entry in plan]
+        nothing, both, positions = runs
+        assert nothing.xs is None and nothing.vs is None and positions.vs is None
+        assert both.speed_sq.shape == both.vs.shape[:2] == (3, 286)
+        assert np.array_equal(nothing.speed_sq, (both.vs**2).sum(axis=-1))
+        assert np.array_equal(positions.xs, both.xs)
+        for run in (nothing, positions):
+            assert np.array_equal(run.speed_sq, both.speed_sq)
+            assert np.array_equal(run.final, both.final)
+        # and so the mean |v|^2 has the bits of the mean of the pooled velocities' row sums
+        assert nothing.speed_sq.mean() == (both.vs.reshape(-1, d) ** 2).sum(axis=1).mean()
+
+    def test_keep_names_only_positions_and_velocities(self):
+        target = make_gaussian(np.zeros(2), SymMatrix.diagonal([1.0, 4.0]))
+        cells = self.cells(InitSpec.from_point(target), [(unscaled_config(target), 0.1, 5, dict(keep="xw"))])
+        with pytest.raises(InvalidInput, match="keep"):
+            run_cells(target, cells)
+
     def test_one_gradient_call_per_step_of_the_longest_cell(self):
         target = make_gaussian(np.zeros(2), SymMatrix.diagonal([1.0, 4.0]))
         rows = []

@@ -197,6 +197,20 @@ class TestPlanUnscaled:
             plan_unscaled(0.5, 0.5, 2, 1.0, 0.0)
 
 
+class TestScalingConfig:
+    def test_diagonal_a_is_checked_by_its_entries(self):
+        a = SymMatrix.diagonal([4.0, 1.0, 2.0])
+        make_config(a)
+        assert "eig" not in a.__dict__  # no sort of a diagonal
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["diagonal", "dense"])
+    @pytest.mark.parametrize("least", [0.0, -1.0])
+    def test_a_that_is_not_spd_is_rejected(self, stored, least):
+        entries = np.array([4.0, least, 2.0])
+        with pytest.raises(InvalidInput, match="must be SPD"):
+            make_config(SymMatrix.diagonal(entries) if stored else SymMatrix(np.diag(entries)))
+
+
 class TestUnscaledConfig:
     def test_ill_conditioned_gaussian(self):
         target = make_gaussian(np.zeros(2), SymMatrix(np.diag([1.0, 100.0])))

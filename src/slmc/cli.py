@@ -55,7 +55,7 @@ def _cmd_tune(args) -> int:
     config = _load_config(args)
     target = experiment.build_target(config.target)
     scaled = experiment.tune_scaled(target, config.seed)
-    spectrum = scaled.A.eig.values
+    lo, hi = scaled.A.extremes
     print(f"target     = {target.name}")
     print(f"theta      = {scaled.theta:.9g}")
     print(f"y_hat      = {np.array2string(scaled.y_hat, precision=6)}")
@@ -65,7 +65,7 @@ def _cmd_tune(args) -> int:
     print(f"u          = {scaled.u:.9g}  gamma = {scaled.gamma:g}")
     print(
         "A spectrum = "
-        f"[{spectrum[0]:.9g}, {spectrum[-1]:.9g}] over {spectrum.size} eigenvalues"
+        f"[{lo:.9g}, {hi:.9g}] over {scaled.A.dim} eigenvalues"
     )
     return 0
 

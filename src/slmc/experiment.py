@@ -229,8 +229,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("overrides must be positive", delta_entry[1])
     if (entry := take("run", "burn_in")) is not None:
         kwargs["burn_in"] = _int(entry)
+        if kwargs["burn_in"] < 0:
+            raise ConfigError("burn_in must be nonnegative", entry[1])
     if (entry := take("run", "thin")) is not None:
         kwargs["thin"] = _int(entry)
+        if kwargs["thin"] < 1:
+            raise ConfigError("thin must be positive", entry[1])
     if (entry := take("run", "out")) is not None:
         kwargs["out_dir"] = entry[0]
     if (entry := take("init", "x0")) is not None:
@@ -338,6 +342,7 @@ class RunSetup:
         not apply becomes a warning. Burn-in defaults to
         ``min(n // 2, n - 1)``: planner-driven runs are only a few
         relaxation times long, so the start-up transient is material.
+        A thin that keeps no state after burn-in is a ``ConfigError``.
         """
         if config.delta_override is not None:
             delta, n_steps = config.delta_override, config.n_override
@@ -349,7 +354,12 @@ class RunSetup:
             plan = self.plan(method, epsilon)
             delta, n_steps, warnings = plan.delta, plan.n_steps, list(plan.warnings)
         burn_in = config.burn_in if config.burn_in is not None else n_steps // 2
-        return delta, n_steps, min(burn_in, n_steps - 1), warnings
+        burn_in = min(burn_in, n_steps - 1)
+        if not 1 <= config.thin <= n_steps - burn_in:
+            raise ConfigError(
+                f"thin = {config.thin} keeps no state of n = {n_steps} steps after burn-in {burn_in}"
+            )
+        return delta, n_steps, burn_in, warnings
 
     def step_warnings(self, method: str, delta: float) -> list[str]:
         """The planner's checks of ``method``'s guarantee, run on ``delta``."""

@@ -12,7 +12,8 @@ roots are assembled from it as ``V diag(fn(w)) V^T``, or, for a diagonal,
 applied to its entries; at the moderate dimensions this package targets
 (d <= 4096) one eigendecomposition is cheaper and more flexible than
 scheme-specific algorithms. Code outside this module reads a diagonal by
-``is_diagonal`` and ``diag``, in coordinate order. Nothing here adds
+``is_diagonal`` and ``diag``, in coordinate order, and any matrix's extreme
+eigenvalues by ``extremes``. Nothing here adds
 jitter: a matrix outside the domain of a function is an error.
 """
 
@@ -128,6 +129,15 @@ class SymMatrix:
             if array is not None:
                 array.setflags(write=False)
         return EigenPair(values=values, perm=perm, dense=vectors)
+
+    @property
+    def extremes(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max): a diagonal's least and greatest entries, with no sort,
+        else the ends of ``eig.values``."""
+        if self.is_diagonal:
+            return float(self.diag.min()), float(self.diag.max())
+        values = self.eig.values
+        return float(values[0]), float(values[-1])
 
     @cached_property
     def is_diagonal(self) -> bool:

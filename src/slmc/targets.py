@@ -130,8 +130,7 @@ def make_gaussian(
     d = precision.dim
     if mean.shape != (d,):
         raise InvalidInput("mean has wrong dimension for the precision matrix")
-    spectrum = precision.eig.values
-    lo, hi = float(spectrum[0]), float(spectrum[-1])
+    lo, hi = precision.extremes
     if lo <= 0.0:
         raise InvalidInput(f"precision matrix is not SPD (lambda_min = {lo:.3e})")
     p, diag = (None, precision.diag) if precision.is_diagonal else (precision.mat, None)

@@ -47,7 +47,7 @@ class ScalingConfig:
             raise InvalidInput("u and gamma must be positive")
         if self.theta < 0.0:
             raise InvalidInput("theta must be nonnegative")
-        if (self.A.diag.min() if self.A.is_diagonal else self.A.eig.values[0]) <= 0.0:
+        if self.A.extremes[0] <= 0.0:
             raise InvalidInput("scaling matrix A must be SPD")
 
 
@@ -81,7 +81,7 @@ def estimate_theta(
         raise InvalidInput("candidate set must be nonempty")
     if target.hess_constant:
         y0 = np.asarray(candidate_ys[0], dtype=float)
-        m_hat = float(target.hess_oracle(y0).eig.values[0])
+        m_hat = target.hess_oracle(y0).extremes[0]
         return ThetaEstimate(theta=0.0, y_hat=y0, m_hat=m_hat)
     if len(probe_xs) == 0:
         raise InvalidInput("probe set must be nonempty")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slmc import experiment, sampler
 from slmc.cli import USAGE_EXIT, main
 from slmc.sample_io import read_samples
 
@@ -84,6 +85,31 @@ class TestUsageErrors:
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main(["tune", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("entry", ["thin = 0", "thin = -2", "burn_in = -1"])
+    def test_thin_below_one_or_negative_burn_in_names_its_line(self, tmp_path, capsys, entry):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG.replace("burn_in = 100", entry))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("slmc: config error: line 12:")
+
+    @pytest.mark.parametrize("command", ["compare", "sample"])
+    def test_thin_that_keeps_nothing_is_refused_before_any_chain(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def refuse(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(sampler, "_Batch", refuse)
+        path = tmp_path / "sparse.cfg"
+        text = CONFIG.replace("n_steps = 500", "n_steps = 100")
+        path.write_text(text.replace("burn_in = 100", "thin = 1000"))
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["slmc: config error: thin = 1000 keeps no state of n = 100 steps after burn-in 50"]
+        assert not out_dir.exists()
+
 
 class TestTuneAndPlan:
     def test_tune_prints_recipe(self, config_path, capsys):
@@ -91,6 +117,22 @@ class TestTuneAndPlan:
         out = capsys.readouterr().out
         assert "theta      = 0" in out
         assert "kappa_hat  = 4" in out
+
+    def test_tune_reads_a_diagonal_a_without_a_sort(self, tmp_path, capsys, monkeypatch):
+        tuned, tune_scaled = [], experiment.tune_scaled
+
+        def keep(*args):
+            tuned.append(tune_scaled(*args))
+            return tuned[-1]
+
+        monkeypatch.setattr(experiment, "tune_scaled", keep)
+        path = tmp_path / "unsorted.cfg"
+        path.write_text(UNSORTED_CONFIG)
+        assert main(["tune", "--config", str(path)]) == 0
+        a = tuned[0].A
+        assert "eig" not in a.__dict__
+        expected = f"A spectrum = [{a.diag.min():.9g}, {a.diag.max():.9g}] over 3 eigenvalues"
+        assert expected in capsys.readouterr().out
 
     def test_plan_prints_both_methods(self, config_path, capsys):
         from slmc import plan_unscaled

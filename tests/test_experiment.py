@@ -23,7 +23,7 @@ from slmc.experiment import (
     splitmix64,
 )
 from slmc.sampler import Cell, make_step_cache, run_cells
-from slmc.spd import MAX_DIM
+from slmc.spd import MAX_DIM, SymMatrix
 
 GAUSS_SPEC = TargetSpecification(kind="gaussian", precision_diag=(1.0, 4.0))
 
@@ -101,10 +101,19 @@ class TestRunExperiment:
             methods=("scaled", "unscaled"), epsilons=(0.5, 0.25), n_override=200, burn_in=100
         )
         run_experiment(config)
-        # P, P^-1, the scaled A and I are diagonal and sorted without eigh; what is
-        # left is the transport-map matrix of each cell's 200-point matching, and
-        # gaussian_w2 needs only eigenvalues
-        assert len(calls) == 4
+        # P, P^-1, the scaled A and I are diagonal and read by their entries, the
+        # matchings decompose nothing, and gaussian_w2 needs only eigenvalues
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_diagonal_gaussian_reads_no_eigendecomposition(self, monkeypatch, d):
+        def refuse(self):
+            raise AssertionError("SymMatrix.eig read")
+
+        monkeypatch.setattr(SymMatrix, "eig", property(refuse))
+        spec = TargetSpecification(kind="gaussian", precision_diag=tuple(np.geomspace(1.0, 4.0, d)))
+        config = small_config(target=spec, methods=("scaled", "unscaled"), n_override=200, burn_in=100)
+        assert len(run_experiment(config)) == 2
 
     def test_velocity_ratio_near_one(self):
         config = small_config(n_override=20000, delta_override=0.05, burn_in=2000)

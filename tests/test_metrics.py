@@ -208,7 +208,7 @@ class TestEmpiricalW2:
         }
         cases = [(kind, n, d) for kind in pairs for d in (1, 2, 3, 10) for n in (2, 50, 300)]
         cases += [("iid", 3, 10), ("iid", 10, 10), ("iid", 1, 1), ("iid", 1, 3)]
-        # the per-coordinate map with n > d; d = 3 and 10 at n = 300 take the full map
+        # the per-coordinate map with n > d, as at every other n and d
         cases += [(kind, 300, 40) for kind in pairs]
         for kind, n, d in cases:
             self._check(*pairs[kind](n, d))
@@ -242,14 +242,15 @@ class TestEmpiricalW2:
 
     def test_small_sample_needs_no_decomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("decomposition on the per-coordinate path")
+            raise AssertionError("decomposition in the matching")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         rng = np.random.default_rng(31)
-        # n = 120 <= d(d + 1)/2 = 2080
-        a = rng.standard_normal((120, 64)) * rng.uniform(0.5, 2.0, 64)
-        self._check(a, rng.standard_normal((120, 64)))
+        # n below and above d(d + 1)/2, the free entries of a covariance
+        for n, d in ((120, 64), (1024, 2), (300, 3)):
+            a = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d)
+            self._check(a, rng.standard_normal((n, d)))
 
     def test_degenerate_clouds_raise_no_warnings(self):
         rng = np.random.default_rng(8)

@@ -29,7 +29,7 @@ from slmc import (
     estimate_theta,
 )
 from slmc.experiment import tune_scaled
-from slmc.sampler import NOISE_BLOCK_DOUBLES, Cell, run_cells
+from slmc.sampler import NOISE_BLOCK_DOUBLES, Cell, _Batch, run_cells
 
 
 def scalar_moments(a, gamma, u, delta, x, v, g):
@@ -229,15 +229,16 @@ class TestStep:
 
     @staticmethod
     def check_one_step_moments(target, config, state, delta, seed):
+        # n one-step rows from the same state in one batch: row i draws from the one
+        # generator after rows 0..i-1, the stream of n calls of step
         cache = make_step_cache(config, delta)
-        rng = np.random.default_rng(seed)
         n = 100_000
-        d = target.dim
-        outs = np.empty((n, 2 * d))
-        for i in range(n):
-            nxt = step(state, target, cache, rng)
-            outs[i, :d] = nxt.x
-            outs[i, d:] = nxt.v
+        xv = np.repeat(np.stack((state.x, state.v))[:, None], n, axis=1)
+        batch = _Batch(target, [(cache, n, None)], xv)
+        x, v = next(batch.walk((np.random.default_rng(seed),) * n, 1, None))[0]
+        first = step(state, target, cache, np.random.default_rng(seed))
+        assert np.array_equal(x[0], first.x) and np.array_equal(v[0], first.v)
+        outs = np.concatenate((x, v), axis=1)
         mom = kernel_moments(state, target.grad_oracle(state.x), config, delta)
         mean = mom.joint_mean()
         sigma = mom.joint_cov().mat

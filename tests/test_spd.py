@@ -276,6 +276,7 @@ class TestDiagonalStorage:
         assert same_bits(stored.eig.values, dense.eig.values)
         assert same_bits(stored.eig.perm, dense.eig.perm)
         assert same_bits(stored.eig.vectors, dense.eig.vectors)
+        assert stored.extremes == (dense.eig.values[0], dense.eig.values[-1])
         fns = [np.exp, lambda w: np.sqrt(np.clip(w, 0.0, None))]
         if np.min(entries) > 0.0:
             fns.append(lambda w: 1.0 / w)

@@ -49,6 +49,15 @@ class TestEstimateTheta:
         assert est.theta == 0.0
         assert np.isclose(est.m_hat, 1.0)
 
+    def test_diagonal_extremes_read_without_a_sort(self):
+        # m, L and m_hat are a diagonal's least and greatest entries, not an argsort's ends
+        p = SymMatrix.diagonal([3.0, 1.0, 2.0])
+        target = make_gaussian(np.zeros(3), p)
+        assert (target.m, target.L) == (1.0, 3.0)
+        assert "eig" not in p.__dict__
+        assert estimate_theta(target, [np.zeros(3)], []).m_hat == 1.0
+        assert "eig" not in p.__dict__
+
     def test_pure_quadratic_logistic_theta_zero(self):
         target = make_logistic_ridge(np.zeros((4, 2)), np.ones(4), ridge=2.0)
         est = estimate_theta(target, [np.zeros(2)], [np.ones(2)])

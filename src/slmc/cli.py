@@ -103,6 +103,10 @@ def _cmd_sample(args) -> int:
     delta, n_steps, burn_in, warnings = setup.cell(config, method, config.epsilons[0])
     _print_warnings(method, config.epsilons[0], warnings)
 
+    every = args.trace_every or max(1, n_steps // 100)
+    if args.trace and every > n_steps:
+        raise ConfigError(f"--trace-every {every} exceeds n = {n_steps} steps: the trace would be empty")
+
     cell_index = config.methods.index(method) * len(config.epsilons)
     rng = np.random.default_rng(experiment.chain_seed(config.seed, cell_index, 0))
     out_dir = Path(config.out_dir)
@@ -111,7 +115,6 @@ def _cmd_sample(args) -> int:
     if args.trace:
         if target.position_cov is None:
             raise ConfigError("--trace needs a target with closed-form moments")
-        every = args.trace_every or max(1, n_steps // 100)
         points = experiment.trace_w2(init, target, chain_config, delta, n_steps, rng, every)
         trace_path = out_dir / f"trace_{method}.csv"
         with open(trace_path, "w", newline="\n") as fh:
@@ -124,13 +127,14 @@ def _cmd_sample(args) -> int:
     run = run_chain(
         init, target, chain_config, delta, n_steps, rng, thin=config.thin, burn_in=burn_in
     )
+    xs, vs = run.xs[0], run.vs[0]
     if args.format == "bin":
         path = out_dir / f"samples_{method}.bin"
-        sample_io.write_samples_bin(path, run.xs, run.vs)
+        sample_io.write_samples_bin(path, xs, vs)
     else:
         path = out_dir / f"samples_{method}.csv"
-        sample_io.write_samples_csv(path, run.steps, run.xs, run.vs)
-    print(f"wrote {path} ({run.xs.shape[0]} states, {run.grad_calls} gradient calls)")
+        sample_io.write_samples_csv(path, run.steps, xs, vs)
+    print(f"wrote {path} ({xs.shape[0]} states, {run.grad_calls} gradient calls)")
     return 0
 
 

@@ -567,7 +567,7 @@ def trace_w2(
     run = run_chain(init, target, config, delta, n_steps, rng)
     points = []
     for stop in range(every, n_steps + 1, every):
-        window = run.xs[stop // 2 : stop]
+        window = run.xs[0, stop // 2 : stop]
         if window.shape[0] < 2:
             continue
         est = moment_summary(SampleCloud.from_points(window))

@@ -69,8 +69,12 @@ def _read_bin(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    with open(path) as fh:
+        rows = [line for line in fh.read().splitlines()[1:] if line.strip()]
+    if not rows:
+        raise InvalidInput(f"{path}: no samples")
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        raw = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InvalidInput(f"{path}: could not parse sample CSV: {exc}") from exc
     cols = raw.shape[1]

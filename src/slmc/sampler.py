@@ -40,8 +40,8 @@ coordinates. Cells are ordered by descending n, so the rows still running
 are always one contiguous range, and a cell's rows leave it after its last
 step, when ``run_cells`` can hand the cell over. Of each kept state a cell
 stores |v|^2, and its full position and velocity only where its ``keep``
-names them. ``run_chains``, ``run_chain``, ``step`` and ``coupled_pair_run``
-are batches of one cell, which keep both.
+names them. ``run_chain``, ``step`` and ``coupled_pair_run`` are batches of
+one cell, which keep both.
 Each chain draws its noise from its own generator in blocks of K steps; a
 (K, 2, d) draw is the same stream as K (2, d) draws, K keeps a block within
 NOISE_BLOCK_DOUBLES, and blocks are cut at every cell's end. A chain's
@@ -52,7 +52,6 @@ a multiple of I beside a dense A, the rounding of the change of variables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -376,21 +375,9 @@ def step(
 
 
 @dataclass(frozen=True, eq=False)
-class ChainRun:
-    """Retained states of one chain plus bookkeeping."""
-
-    xs: np.ndarray
-    vs: np.ndarray
-    steps: np.ndarray
-    grad_calls: int
-    final: ChainState
-
-
-@dataclass(frozen=True, eq=False)
 class Cell:
     """The chains of one (config, delta) in a run batch: one per generator of
-    ``rngs``, each from (x0, 0), or from v ~ N(0, u I) with
-    ``stationary_velocity_init``, for ``n_steps`` steps, keeping every thin-th
+    ``rngs``, each from (x0, 0), for ``n_steps`` steps, keeping every thin-th
     state after ``burn_in``: its |v|^2 always, and in full its position if
     ``keep`` holds "x" and its velocity if it holds "v". ``label`` names the
     cell in a ``NumericalBlowup``."""
@@ -402,7 +389,6 @@ class Cell:
     rngs: tuple
     thin: int = 1
     burn_in: int = 0
-    stationary_velocity_init: bool = False
     label: str | None = None
     keep: str = "xv"
 
@@ -420,13 +406,6 @@ class CellRun:
     steps: np.ndarray
     final: np.ndarray
     grad_calls: int
-
-    def chains(self) -> list[ChainRun]:
-        """One ``ChainRun`` per chain, viewing this cell's arrays (both kept)."""
-        return [
-            ChainRun(x, v, self.steps, self.grad_calls, ChainState(x=last[0], v=last[1]))
-            for x, v, last in zip(self.xs, self.vs, self.final)
-        ]
 
 
 def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
@@ -465,9 +444,6 @@ def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
     for c, cell in enumerate(cells):
         a, b = span[c]
         xv[0, a:b] = cell.init.x0
-        if cell.stationary_velocity_init:
-            for row, rng in zip(xv[1, a:b], cell.rngs):
-                row[:] = math.sqrt(cell.config.u) * rng.standard_normal(d)
 
     steps = [
         cell.burn_in + cell.thin * np.arange(1, (cell.n_steps - cell.burn_in) // cell.thin + 1)
@@ -512,33 +488,11 @@ def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
     return runs
 
 
-def run_chains(
-    init: InitSpec,
-    target: TargetModel,
-    config: ScalingConfig,
-    delta: float,
-    n_steps: int,
-    rngs,
-    thin: int = 1,
-    burn_in: int = 0,
-    stationary_velocity_init: bool = False,
-) -> list[ChainRun]:
-    """Run one chain per generator of ``rngs``, all from (x0, 0), as one batch.
-
-    Chain c's run is that of ``run_chain`` with ``rngs[c]``: it keeps every
-    thin-th state after burn-in and makes ``n_steps`` gradient calls, and
-    ``stationary_velocity_init`` starts it from v ~ N(0, u I) instead of
-    zero. ``NumericalBlowup`` reports the first step at which any chain trips.
-    """
-    cell = Cell(init, config, delta, n_steps, tuple(rngs), thin, burn_in, stationary_velocity_init)
-    return run_cells(target, [cell])[0].chains()
-
-
-def run_chain(init, target, config, delta, n_steps, rng, **options) -> ChainRun:
-    """Run one chain from (x0, 0): :func:`run_chains` with the single generator
-    ``rng`` and the same keyword ``options`` (thin, burn_in,
-    stationary_velocity_init). Makes exactly ``n_steps`` gradient calls."""
-    return run_chains(init, target, config, delta, n_steps, (rng,), **options)[0]
+def run_chain(init, target, config, delta, n_steps, rng, thin=1, burn_in=0) -> CellRun:
+    """Run one chain from (x0, 0) with the generator ``rng``, as a batch of one cell
+    that keeps every thin-th state after ``burn_in``, positions and velocities
+    both; its ``CellRun`` holds one chain. Makes exactly ``n_steps`` gradient calls."""
+    return run_cells(target, [Cell(init, config, delta, n_steps, (rng,), thin, burn_in)])[0]
 
 
 def coupled_pair_run(

@@ -6,22 +6,20 @@ holds a dense d x d array, or, for a diagonal made by
 or scaling costs O(d) memory and set-up. It keeps its own
 eigendecomposition: ``eig`` runs one full symmetric eigensolve on first
 use and every later reader shares the result, so each matrix is
-decomposed at most once (a diagonal is sorted into its decomposition
-and skips the solver). Matrix functions such as inverses and square
+decomposed at most once. Matrix functions such as inverses and square
 roots are assembled from it as ``V diag(fn(w)) V^T``, or, for a diagonal,
 applied to its entries; at the moderate dimensions this package targets
 (d <= 4096) one eigendecomposition is cheaper and more flexible than
-scheme-specific algorithms. Code outside this module reads a diagonal by
-``is_diagonal`` and ``diag``, in coordinate order, and any matrix's extreme
-eigenvalues by ``extremes``. Nothing here adds
+scheme-specific algorithms. A diagonal is read only by ``is_diagonal``
+and ``diag``, in coordinate order, and so is never decomposed; any
+matrix's extreme eigenvalues are read by ``extremes``. Nothing here adds
 jitter: a matrix outside the domain of a function is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,27 +31,11 @@ MAX_DIM = 4096
 _SYM_RTOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    """Ascending eigenvalues and the matching orthonormal eigenvectors (columns).
-    For a diagonal matrix V is a permutation (column j is e_perm[j]) and is not
-    stored: ``vectors`` builds it, read-only, on each read, from ``perm``. Else
-    ``perm`` is None and ``dense`` holds V. ``perm`` is internal to this module:
-    elsewhere a diagonal is read by ``SymMatrix.is_diagonal`` and ``diag``."""
+class EigenPair(NamedTuple):
+    """Ascending eigenvalues and the matching orthonormal eigenvectors (columns)."""
 
     values: np.ndarray
-    perm: np.ndarray | None
-    dense: np.ndarray | None
-
-    @property
-    def vectors(self) -> np.ndarray:
-        if self.perm is None:
-            return self.dense
-        d = self.perm.size
-        vectors = np.zeros((d, d))
-        vectors[self.perm, np.arange(d)] = 1.0  # I[:, perm]; a column gather is ~30x slower
-        vectors.setflags(write=False)
-        return vectors
+    vectors: np.ndarray
 
 
 class SymMatrix:
@@ -114,21 +96,11 @@ class SymMatrix:
     @cached_property
     def eig(self) -> EigenPair:
         """Full symmetric eigendecomposition, eigenvalues ascending, read-only;
-        computed on first use and kept. A diagonal matrix is sorted instead
-        of solved: with ``order`` its stable argsort it returns values
-        ``diag[order]`` and ``perm = order``, whose vectors are ``I[:, order]``
-        (tied entries keep their index order, which ``eigh`` does not promise)."""
-        if self.is_diagonal:
-            entries = self.diag
-            perm = np.argsort(entries, kind="stable")
-            values, vectors = entries[perm], None
-        else:
-            values, vectors = np.linalg.eigh(self._dense)
-            perm = None
-        for array in (values, vectors, perm):
-            if array is not None:
-                array.setflags(write=False)
-        return EigenPair(values=values, perm=perm, dense=vectors)
+        computed on first use and kept."""
+        values, vectors = np.linalg.eigh(self.mat)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return EigenPair(values, vectors)
 
     @property
     def extremes(self) -> tuple[float, float]:

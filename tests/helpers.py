@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from slmc import ScalingConfig, SymMatrix, make_logistic_ridge
+from slmc.spd import SymMatrix
+from slmc.targets import make_logistic_ridge
+from slmc.tuner import ScalingConfig
 
 
 def random_spd(rng, dim, lo=0.5, hi=10.0):

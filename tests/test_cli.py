@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from slmc import experiment, sampler
 from slmc.cli import USAGE_EXIT, main
 from slmc.sample_io import read_samples
+from slmc.spd import SymMatrix
 
 CONFIG = """
 [target]
@@ -38,6 +41,13 @@ PINNED_UNSORTED_RESULTS = (
     b"gaussian-d3,scaled,4,4,0,0.5,0.05,2000,4000,0.231601775,0.383195195,0.98647373,0\n"
     b"gaussian-d3,unscaled,4,4,0,0.5,0.05,2000,4000,0.539694935,0.639268278,1.0115801,0\n"
 )
+
+#: sha256 of each file ``sample`` writes on CONFIG at the default seed (method scaled).
+PINNED_SAMPLE_SHA256 = {
+    "samples_scaled.csv": "a3f1d87e5cc664a6ea25ac79d6e28e07f0dadba84bd21d0cde7fddbfbfdeab43",
+    "samples_scaled.bin": "6bcfe28c2b7d6674658cedd699eaca4246068fb2725e7ac083427f49081a2262",
+    "trace_scaled.csv": "b7dc310224935d09af8ee5c5f2bbb48b47624d25138346f35167160e3782dbfa",
+}
 
 LOGISTIC_CONFIG = """
 [target]
@@ -111,6 +121,10 @@ class TestUsageErrors:
         assert not out_dir.exists()
 
 
+def refuse_eig(self):
+    raise AssertionError("SymMatrix.eig read")
+
+
 class TestTuneAndPlan:
     def test_tune_prints_recipe(self, config_path, capsys):
         assert main(["tune", "--config", str(config_path)]) == 0
@@ -126,16 +140,28 @@ class TestTuneAndPlan:
             return tuned[-1]
 
         monkeypatch.setattr(experiment, "tune_scaled", keep)
+        monkeypatch.setattr(SymMatrix, "eig", property(refuse_eig))
         path = tmp_path / "unsorted.cfg"
         path.write_text(UNSORTED_CONFIG)
         assert main(["tune", "--config", str(path)]) == 0
         a = tuned[0].A
-        assert "eig" not in a.__dict__
         expected = f"A spectrum = [{a.diag.min():.9g}, {a.diag.max():.9g}] over 3 eigenvalues"
         assert expected in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan"], ["sample"], ["sample", "--format", "bin"], ["sample", "--trace"]],
+        ids=["plan", "sample-csv", "sample-bin", "sample-trace"],
+    )
+    def test_plan_and_sample_read_a_diagonal_a_without_a_sort(self, tmp_path, monkeypatch, argv):
+        # a diagonal's eig would densify it and call eigh: nothing may reach it
+        monkeypatch.setattr(SymMatrix, "eig", property(refuse_eig))
+        path = tmp_path / "unsorted.cfg"
+        path.write_text(UNSORTED_CONFIG)
+        assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
     def test_plan_prints_both_methods(self, config_path, capsys):
-        from slmc import plan_unscaled
+        from slmc.tuner import plan_unscaled
 
         assert main(["plan", "--config", str(config_path)]) == 0
         out = capsys.readouterr().out
@@ -214,6 +240,34 @@ class TestSample:
         lines = (out_dir / "trace_scaled.csv").read_text().splitlines()
         assert lines[0] == "step,time,w2_gauss"
         assert len(lines) > 10
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("samples_scaled.csv", []),
+            ("samples_scaled.bin", ["--format", "bin"]),
+            ("trace_scaled.csv", ["--trace", "--trace-every", "25"]),
+        ],
+    )
+    def test_bytes_pinned(self, config_path, tmp_path, name, flags):
+        # Byte-stability across refactors: a change here is a change of output.
+        out_dir = tmp_path / "out"
+        assert main(["sample", "--config", str(config_path), "--out", str(out_dir), *flags]) == 0
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == PINNED_SAMPLE_SHA256[name]
+
+    def test_trace_every_beyond_n_is_a_config_error(self, config_path, tmp_path, capsys, monkeypatch):
+        # it wrote a trace that held only its header, and exited 0
+        def refuse(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(sampler, "_Batch", refuse)
+        out_dir = tmp_path / "out"
+        argv = ["sample", "--config", str(config_path), "--out", str(out_dir), "--trace",
+                "--trace-every", "1000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "slmc: config error: --trace-every 1000 exceeds n = 500 steps: the trace would be empty"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("every", ["0", "-5"])
     def test_trace_every_below_one_is_a_usage_error(self, config_path, tmp_path, capsys, every):
@@ -294,6 +348,17 @@ class TestValidateKernel:
 
 
 class TestW2:
+    def test_header_without_rows_is_a_config_error(self, config_path, tmp_path, capsys):
+        # numpy warned "input contained no data", then the reader named 1 column
+        out_dir = tmp_path / "out"
+        main(["sample", "--config", str(config_path), "--out", str(out_dir)])
+        capsys.readouterr()
+        sample = out_dir / "samples_scaled.csv"
+        empty = tmp_path / "empty.csv"
+        empty.write_text(sample.read_text().splitlines(keepends=True)[0])
+        assert main(["w2", str(empty), str(sample)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"slmc: config error: {empty}: no samples"]
+
     def test_same_file_is_zero(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "out"
         main(["sample", "--config", str(config_path), "--out", str(out_dir)])

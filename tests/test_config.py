@@ -1,6 +1,6 @@
 import pytest
 
-from slmc import ConfigError
+from slmc.errors import ConfigError
 from slmc.experiment import parse_config
 
 MINIMAL = """

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slmc import InvalidInput, NumericalBlowup, TheoremInapplicable
 from slmc import experiment
+from slmc.errors import InvalidInput, NumericalBlowup, TheoremInapplicable
 from slmc.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -224,7 +224,7 @@ class TestRunExperiment:
         np.savetxt(path, np.column_stack([features, labels]), delimiter=",")
         spec = TargetSpecification(kind="logistic", dataset=str(path), ridge=0.01)
         config = small_config(target=spec, delta_override=None, n_override=None)
-        from slmc import TheoremInapplicable
+        from slmc.errors import TheoremInapplicable
 
         with pytest.raises(TheoremInapplicable):
             run_experiment(config)

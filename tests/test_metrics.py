@@ -14,17 +14,16 @@ from scipy.spatial.distance import cdist
 
 from helpers import random_spd
 import slmc
-from slmc import (
+from slmc.errors import InvalidInput
+from slmc.metrics import (
     GaussianSummary,
-    InvalidInput,
     SampleCloud,
-    SymMatrix,
     empirical_w2,
     gaussian_w2,
     moment_summary,
-    spd_sqrt,
+    _reduced_cost,
 )
-from slmc.metrics import _reduced_cost
+from slmc.spd import SymMatrix, spd_sqrt
 
 
 def brute_force_w2(a: np.ndarray, b: np.ndarray) -> float:
@@ -108,7 +107,7 @@ class TestGaussianW2:
         rng = np.random.default_rng(d)
         a = GaussianSummary(mean=rng.standard_normal(d), cov=random_spd(rng, d))
         b = GaussianSummary(mean=rng.standard_normal(d), cov=SymMatrix.diagonal(rng.uniform(0.1, 5.0, d)))
-        assert b.cov.eig.perm is not None
+        assert b.cov.is_diagonal
         root_b = np.diag(np.sqrt(np.diagonal(b.cov.mat)))
         inner = SymMatrix(root_b @ a.cov.mat @ root_b)
         cross = np.trace(spd_sqrt(inner).mat)
@@ -297,8 +296,8 @@ class TestSampleCloud:
 
 
 def test_importing_slmc_loads_no_scipy():
-    # scipy is imported by the first W2 that needs it, not by the package
-    code = "import sys, slmc; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # scipy is imported by the first W2 that needs it, not on import: slmc.cli imports every module
+    code = "import sys, slmc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(slmc.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -5,8 +5,16 @@ import pytest
 import scipy.linalg
 
 from helpers import make_config
-from slmc import ChainState, SymMatrix, cli, run_kernel_validation, sampler
-from slmc.oracle import KernelCase, check_case, exact_step_moments, kernel_validation_cases
+from slmc import cli, sampler
+from slmc.oracle import (
+    KernelCase,
+    check_case,
+    exact_step_moments,
+    kernel_validation_cases,
+    run_kernel_validation,
+)
+from slmc.sampler import ChainState
+from slmc.spd import SymMatrix
 
 
 def _skew_modes(monkeypatch, part, row):

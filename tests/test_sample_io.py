@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slmc import InvalidInput
+from slmc.errors import InvalidInput
 from slmc.sample_io import read_samples, write_samples_bin, write_samples_csv
 
 

@@ -8,28 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ZeroRng, make_config, random_logistic, random_spd
-from slmc import (
+from slmc.errors import InvalidInput, NotPositiveDefinite, NumericalBlowup
+from slmc.experiment import tune_scaled
+from slmc.sampler import (
+    NOISE_BLOCK_DOUBLES,
+    _Batch,
+    Cell,
     ChainState,
-    InitSpec,
-    InvalidInput,
-    NotPositiveDefinite,
-    NumericalBlowup,
-    SymMatrix,
-    TargetModel,
     coupled_pair_run,
     kernel_moments,
-    make_gaussian,
-    make_logistic_ridge,
     make_step_cache,
+    run_cells,
     run_chain,
-    run_chains,
-    scaled_params,
     step,
-    unscaled_config,
-    estimate_theta,
 )
-from slmc.experiment import tune_scaled
-from slmc.sampler import NOISE_BLOCK_DOUBLES, Cell, _Batch, run_cells
+from slmc.spd import SymMatrix
+from slmc.targets import InitSpec, TargetModel, make_gaussian, make_logistic_ridge
+from slmc.tuner import estimate_theta, scaled_params, unscaled_config
 
 
 def scalar_moments(a, gamma, u, delta, x, v, g):
@@ -294,7 +289,7 @@ class TestIndexPath:
         target = self.unsorted_target()
         if method == "scaled":
             config = scaled_params(target, estimate_theta(target, [np.zeros(3)], [np.zeros(3)]))
-            assert not np.array_equal(config.A.eig.perm, np.arange(3))
+            assert config.A.is_diagonal and (np.diff(config.A.diag) < 0).any()
         else:
             config = unscaled_config(target)
         cache = make_step_cache(config, 0.1)
@@ -328,13 +323,12 @@ class TestIndexPath:
         target = self.unsorted_target()
         entries = [2.5, 0.5, 1.5]
         init = InitSpec.from_point(target, np.array([1.0, 2.0, -1.0]))
-        runs = [
-            run_chains(init, target, make_config(a, u=0.8), 0.05, 300,
-                       [np.random.default_rng(s) for s in (3, 4)], burn_in=20, thin=7)
+        got, want = (
+            run_cells(target, [Cell(init, make_config(a, u=0.8), 0.05, 300,
+                                    tuple(np.random.default_rng(s) for s in (3, 4)), burn_in=20, thin=7)])[0]
             for a in (SymMatrix.diagonal(entries), SymMatrix(np.diag(entries)))
-        ]
-        for got, want in zip(*runs):
-            assert np.array_equal(got.xs, want.xs) and np.array_equal(got.vs, want.vs)
+        )
+        assert np.array_equal(got.xs, want.xs) and np.array_equal(got.vs, want.vs)
 
     def test_dense_a_keeps_the_matrix_products(self):
         config = make_config(random_spd(np.random.default_rng(43), 3))
@@ -377,9 +371,9 @@ class TestRunChain:
         expected = step(
             ChainState(x=init.x0, v=np.zeros(2)), target, cache, np.random.default_rng(3)
         )
-        assert run.xs.shape == (1, 2)
-        assert np.array_equal(run.xs[0], expected.x)
-        assert np.array_equal(run.vs[0], expected.v)
+        assert run.xs.shape == (1, 1, 2)
+        assert np.array_equal(run.xs[0, 0], expected.x)
+        assert np.array_equal(run.vs[0, 0], expected.v)
 
     def test_steps_across_a_noise_block_equal_step(self, setup):
         target, config, init = setup
@@ -392,8 +386,8 @@ class TestRunChain:
         for i in range(n):
             state = step(state, target, cache, rng)
             xs[i] = state.x
-        assert np.array_equal(run.xs, xs)
-        assert np.array_equal(run.final.v, state.v)
+        assert np.array_equal(run.xs[0], xs)
+        assert np.array_equal(run.final[0, 1], state.v)
 
     def test_fixed_seed_bit_identical(self, setup):
         target, config, init = setup
@@ -426,13 +420,13 @@ class TestRunChain:
         run = run_chain(
             init, target, config, 0.05, 100, np.random.default_rng(1), thin=10, burn_in=20
         )
-        assert run.xs.shape == (8, 2)
+        assert run.xs.shape == (1, 8, 2)
         assert list(run.steps) == [30, 40, 50, 60, 70, 80, 90, 100]
 
     def test_stationary_covariance(self, setup):
         target, config, init = setup
         run = run_chain(init, target, config, 0.02, 80_000, np.random.default_rng(0), burn_in=8_000)
-        cov = np.cov(run.xs, rowvar=False)
+        cov = np.cov(run.xs[0], rowvar=False)
         expected = np.diag([1.0, 0.25])
         rel = np.linalg.norm(cov - expected) / np.linalg.norm(expected)
         assert rel < 0.15
@@ -442,7 +436,7 @@ class TestRunChain:
         config = scaled_params(target, estimate_theta(target, [np.zeros(4)], [np.zeros(4)]))
         init = InitSpec.from_point(target)
         run = run_chain(init, target, config, 0.05, 30_000, np.random.default_rng(4), burn_in=3_000)
-        ratio = (run.vs**2).sum(axis=1).mean() / (config.u * 4)
+        ratio = (run.vs[0] ** 2).sum(axis=1).mean() / (config.u * 4)
         assert 0.9 < ratio < 1.1
 
     def test_blowup_reports_step_index(self):
@@ -453,15 +447,6 @@ class TestRunChain:
             run_chain(init, target, config, 1.0, 500, np.random.default_rng(0))
         assert err.value.step_index is not None
         assert err.value.step_index >= 1
-
-    def test_stationary_velocity_init_draws(self, setup):
-        target, config, init = setup
-        run = run_chain(
-            init, target, config, 0.05, 1, np.random.default_rng(7),
-            stationary_velocity_init=True,
-        )
-        base = run_chain(init, target, config, 0.05, 1, np.random.default_rng(7))
-        assert not np.array_equal(run.vs, base.vs)
 
 
 class SpikeRng:
@@ -483,23 +468,24 @@ class SpikeRng:
 
 
 class TestRunChains:
+    """A cell of several chains runs each chain as ``run_chain`` runs it alone."""
+
     @staticmethod
     def check_matches_separate_chains(init, target, config, exact, **kwargs):
         seeds = (11, 12, 13)
-        batch = run_chains(
-            init, target, config, 0.05, 257, [np.random.default_rng(s) for s in seeds], **kwargs
-        )
-        assert len(batch) == len(seeds)
-        for run, seed in zip(batch, seeds):
+        cell = Cell(init, config, 0.05, 257, tuple(np.random.default_rng(s) for s in seeds), **kwargs)
+        batch = run_cells(target, [cell])[0]
+        assert batch.xs.shape[0] == batch.final.shape[0] == len(seeds)
+        for c, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             alone = run_chain(init, target, config, 0.05, 257, rng, **kwargs)
-            assert np.array_equal(run.steps, alone.steps)
-            assert run.grad_calls == alone.grad_calls == 257
+            assert np.array_equal(batch.steps, alone.steps)
+            assert batch.grad_calls == alone.grad_calls == 257
             for got, want in (
-                (run.xs, alone.xs),
-                (run.vs, alone.vs),
-                (run.final.x, alone.final.x),
-                (run.final.v, alone.final.v),
+                (batch.xs[c], alone.xs[0]),
+                (batch.vs[c], alone.vs[0]),
+                (batch.final[c, 0], alone.final[0, 0]),
+                (batch.final[c, 1], alone.final[0, 1]),
             ):
                 assert got.shape == want.shape
                 if exact:
@@ -513,9 +499,6 @@ class TestRunChains:
         init = InitSpec.from_point(target, np.array([2.0, 1.0]))
         self.check_matches_separate_chains(init, target, config, exact=True)
         self.check_matches_separate_chains(init, target, config, exact=True, burn_in=100, thin=7)
-        self.check_matches_separate_chains(
-            init, target, config, exact=True, stationary_velocity_init=True
-        )
 
     def test_dense_scaled_config(self):
         rng = np.random.default_rng(43)
@@ -523,9 +506,6 @@ class TestRunChains:
         config = make_config(random_spd(rng, 3, lo=0.5, hi=4.0), u=1.3)
         init = InitSpec.from_point(target, np.array([1.0, -0.5, 0.3]))
         self.check_matches_separate_chains(init, target, config, exact=False, burn_in=50, thin=3)
-        self.check_matches_separate_chains(
-            init, target, config, exact=False, stationary_velocity_init=True
-        )
 
     def test_logistic_target(self):
         rng = np.random.default_rng(44)
@@ -549,8 +529,8 @@ class TestRunChains:
             hess_constant=True,
         )
         shapes.clear()  # discard the contract checks made on construction
-        rngs = [np.random.default_rng(s) for s in range(4)]
-        run_chains(InitSpec.from_point(target), counted, unscaled_config(target), 0.1, 9, rngs)
+        rngs = tuple(np.random.default_rng(s) for s in range(4))
+        run_cells(counted, [Cell(InitSpec.from_point(target), unscaled_config(target), 0.1, 9, rngs)])
         assert shapes == [(4, 2)] * 9
 
     def test_single_chain_blowup_step_matches_chain_alone(self):
@@ -560,16 +540,16 @@ class TestRunChains:
         spike = NOISE_BLOCK_DOUBLES // (3 * 2 * 2) + 50  # inside the second noise block
         with pytest.raises(NumericalBlowup) as alone:
             run_chain(init, target, config, 0.1, 3000, SpikeRng(2, spike, 2))
-        rngs = [np.random.default_rng(1), SpikeRng(2, spike, 2), np.random.default_rng(3)]
+        rngs = (np.random.default_rng(1), SpikeRng(2, spike, 2), np.random.default_rng(3))
         with pytest.raises(NumericalBlowup) as batch:
-            run_chains(init, target, config, 0.1, 3000, rngs)
+            run_cells(target, [Cell(init, config, 0.1, 3000, rngs)])
         assert alone.value.step_index == spike
         assert batch.value.step_index == spike
 
     def test_no_generators_rejected(self):
         target = make_gaussian(np.zeros(2), SymMatrix(np.eye(2)))
         with pytest.raises(InvalidInput):
-            run_chains(InitSpec.from_point(target), target, unscaled_config(target), 0.1, 5, [])
+            run_cells(target, [Cell(InitSpec.from_point(target), unscaled_config(target), 0.1, 5, ())])
 
 
 class TestRunCells:
@@ -589,17 +569,12 @@ class TestRunCells:
         batch = run_cells(target, cells)
         for cell, run in zip(cells, batch):
             seeds = [rng.bit_generator.seed_seq.entropy for rng in cell.rngs]
-            alone = run_chains(
-                cell.init, target, cell.config, cell.delta, cell.n_steps,
-                [np.random.default_rng(s) for s in seeds], thin=cell.thin, burn_in=cell.burn_in,
-                stationary_velocity_init=cell.stationary_velocity_init,
-            )
+            alone = run_cells(target, [replace(cell, rngs=tuple(np.random.default_rng(s) for s in seeds))])[0]
             assert run.grad_calls == cell.n_steps
-            for got, want in zip(run.chains(), alone):
-                assert np.array_equal(got.steps, want.steps)
-                pairs = ((got.xs, want.xs), (got.vs, want.vs), (got.final.x, want.final.x),
-                         (got.final.v, want.final.v))
-                for a, b in pairs:
+            assert np.array_equal(run.steps, alone.steps)
+            finals = (zip(run.final[:, i], alone.final[:, i]) for i in (0, 1))
+            for pairs in zip(zip(run.xs, alone.xs), zip(run.vs, alone.vs), *finals):
+                for a, b in pairs:  # chain by chain: x, v, final x, final v
                     assert a.shape == b.shape
                     if exact:
                         assert np.array_equal(a, b)
@@ -609,7 +584,7 @@ class TestRunCells:
     def test_gaussian_cells_bit_identical_to_each_cell_alone(self):
         target = make_gaussian(np.array([0.5, -1.0, 2.0]), SymMatrix.diagonal([4.0, 1.0, 2.0]))
         scaled = scaled_params(target, estimate_theta(target, [np.zeros(3)], [np.zeros(3)]))
-        assert not np.array_equal(scaled.A.eig.perm, np.arange(3))
+        assert scaled.A.is_diagonal and (np.diff(scaled.A.diag) < 0).any()
         unscaled = unscaled_config(target)
         # three rows of d = 3 fill a noise block in 1,820 steps: n = 3000 crosses a
         # block boundary once the other cells have left, and n = 700 ends inside a block
@@ -617,7 +592,7 @@ class TestRunCells:
             (scaled, 0.05, 700, dict(burn_in=100, thin=3)),
             (scaled, 0.02, 1, {}),
             (unscaled, 0.05, 3000, {}),
-            (unscaled, 0.02, 257, dict(burn_in=50, thin=7, stationary_velocity_init=True)),
+            (unscaled, 0.02, 257, dict(burn_in=50, thin=7)),
         ])
         self.check_matches_cells_alone(target, cells, exact=True)
 
@@ -625,7 +600,7 @@ class TestRunCells:
     def test_logistic_dense_cells_beside_an_unscaled_cell(self):
         target = random_logistic(45, rows=40, d=3, ridge=0.5)
         scaled = tune_scaled(target, 0)
-        assert scaled.A.eig.perm is None
+        assert not scaled.A.is_diagonal
         cells = self.cells(InitSpec.from_point(target, np.ones(3)), [
             (scaled, 0.05, 300, dict(burn_in=20, thin=2)),
             (unscaled_config(target), 0.05, 400, {}),
@@ -737,8 +712,8 @@ class TestDenseFrame:
         config = make_config(random_spd(rng, cls.D, lo=0.5, hi=4.0), u=0.7, gamma=1.3)
         vectors = config.A.eig.vectors
         diagonal = make_config(SymMatrix.diagonal(config.A.eig.values), u=0.7, gamma=1.3)
-        assert config.A.eig.perm is None
-        assert np.array_equal(diagonal.A.eig.perm, np.arange(cls.D))  # the same modes, in order
+        assert not config.A.is_diagonal
+        assert np.array_equal(diagonal.A.diag, config.A.eig.values)  # the same modes, in order
         if which == "gaussian":
             mean, precision = rng.standard_normal(cls.D), random_spd(rng, cls.D, lo=1.0, hi=10.0)
             target = make_gaussian(mean, precision)
@@ -767,9 +742,9 @@ class TestDenseFrame:
             state = ChainState(x=mom.mean_x, v=mom.mean_v)
             xs.append(state.x)
             vs.append(state.v)
-        self.close(run.xs, np.array(xs))
-        self.close(run.vs, np.array(vs))
-        assert np.abs(run.xs[-1] - init.x0).max() > 0.1  # the chain moved
+        self.close(run.xs[0], np.array(xs))
+        self.close(run.vs[0], np.array(vs))
+        assert np.abs(run.xs[0, -1] - init.x0).max() > 0.1  # the chain moved
 
     @pytest.mark.parametrize("which", ["gaussian", "logistic"])
     def test_noisy_run_is_the_rotated_problems_rotated_back(self, which):
@@ -779,15 +754,16 @@ class TestDenseFrame:
         vectors = config.A.eig.vectors
         x0 = 2.0 * rng.standard_normal(self.D)
         options = dict(burn_in=40, thin=3)
-        runs = run_chains(InitSpec.from_point(target, x0), target, config, 0.1, 400,
-                          [np.random.default_rng(s) for s in (5, 6, 7)], **options)
-        refs = run_chains(InitSpec.from_point(turned, x0 @ vectors), turned, diagonal, 0.1, 400,
-                          [np.random.default_rng(s) for s in (5, 6, 7)], **options)
-        for run, ref in zip(runs, refs):
-            assert np.array_equal(run.steps, ref.steps)
-            self.close(run.xs, ref.xs @ vectors.T)
-            self.close(run.vs, ref.vs @ vectors.T)
-            self.close(np.stack((run.final.x, run.final.v)), np.stack((ref.final.x, ref.final.v)) @ vectors.T)
+        run, ref = (
+            run_cells(problem, [Cell(InitSpec.from_point(problem, start), a, 0.1, 400,
+                                     tuple(np.random.default_rng(s) for s in (5, 6, 7)), **options)])[0]
+            for problem, start, a in ((target, x0, config), (turned, x0 @ vectors, diagonal))
+        )
+        assert np.array_equal(run.steps, ref.steps)
+        for c in range(3):
+            self.close(run.xs[c], ref.xs[c] @ vectors.T)
+            self.close(run.vs[c], ref.vs[c] @ vectors.T)
+            self.close(run.final[c], ref.final[c] @ vectors.T)
 
     def test_coupled_pair_is_the_rotated_problems(self):
         # rho does not depend on the coordinates; it decays, so compare it while large

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,21 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_config, random_spd
-from slmc import (
-    GaussianSummary,
-    InvalidInput,
-    SampleCloud,
-    SingularMatrix,
-    SymMatrix,
-    gaussian_w2,
-    make_gaussian,
-    make_step_cache,
-    moment_summary,
-    sample_exact_positions,
-    spd_apply_fn,
-    spd_sqrt,
-)
-from slmc.spd import MAX_DIM
+from slmc.errors import InvalidInput, SingularMatrix
+from slmc.metrics import GaussianSummary, SampleCloud, gaussian_w2, moment_summary
+from slmc.sampler import make_step_cache
+from slmc.spd import MAX_DIM, EigenPair, SymMatrix, spd_apply_fn, spd_sqrt
+from slmc.targets import make_gaussian, sample_exact_positions
 
 SORTED_DIAGONALS = pytest.mark.parametrize(
     "entries",
@@ -106,8 +96,8 @@ class TestSymMatrix:
         tracemalloc.start()
         try:
             m = SymMatrix.diagonal(np.geomspace(1.0, 100.0, MAX_DIM))
-            assert m.dim == MAX_DIM and m.is_diagonal and m.eig.perm is not None
-            spd_sqrt(spd_apply_fn(m, lambda w: 1.0 / w)).eig
+            assert m.dim == MAX_DIM and m.is_diagonal
+            assert spd_sqrt(spd_apply_fn(m, lambda w: 1.0 / w)).is_diagonal
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -119,67 +109,20 @@ class TestSymMatrix:
 
 
 class TestSymEig:
-    def test_permutation_eigenbasis_stores_no_dense_vectors(self):
-        d = 512
-        pair = SymMatrix.diagonal(np.arange(1.0, d + 1.0)).eig
-        arrays = [getattr(pair, f.name) for f in fields(pair)]
-        assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < d * d * 8
-        assert np.array_equal(pair.vectors, np.linalg.eigh(np.diag(np.arange(1.0, d + 1.0)))[1])
-
-    @SORTED_DIAGONALS
-    def test_sorted_diagonal_matches_eigh_without_calling_it(self, entries, monkeypatch):
-        mat = np.diag(np.asarray(entries, dtype=float))
-        values, vectors = np.linalg.eigh(mat)
-
-        def no_eigh(*_args, **_kwargs):
-            raise AssertionError("eigh called on a sorted diagonal")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        pair = SymMatrix(mat).eig
-        assert np.array_equal(pair.values, values)
-        assert np.array_equal(pair.vectors, vectors)
-        assert np.array_equal(pair.perm, np.arange(mat.shape[0]))
-        for array in (pair.values, pair.vectors, pair.perm):
-            assert not array.flags.writeable
-
-    @UNSORTED_DIAGONALS
-    def test_any_diagonal_matches_eigh_without_calling_it(self, entries, monkeypatch):
-        mat = np.diag(np.asarray(entries, dtype=float))
-        values, vectors = np.linalg.eigh(mat)
-
-        def no_eigh(*_args, **_kwargs):
-            raise AssertionError("eigh called on a diagonal")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        pair = SymMatrix(mat).eig
-        assert np.array_equal(pair.values, values)
-        assert np.array_equal(pair.vectors, vectors)
-        assert np.array_equal(pair.vectors, np.eye(mat.shape[0])[:, pair.perm])
-        for array in (pair.values, pair.vectors, pair.perm):
-            assert not array.flags.writeable
-
-    def test_unsorted_diagonal_records_its_permutation(self):
-        pair = SymMatrix.diagonal([4.0, 1.0, 2.0]).eig
-        assert np.array_equal(pair.values, [1.0, 2.0, 4.0])
-        assert np.array_equal(pair.perm, [1, 2, 0])
-        z = np.random.default_rng(5).standard_normal((4, 2, 3))
-        assert np.array_equal(z @ pair.vectors, z[..., pair.perm])
-
     def test_dense_or_signed_eigenvectors_have_no_permutation(self, monkeypatch):
-        assert random_spd(np.random.default_rng(6), 3).eig.perm is None
+        assert EigenPair._fields == ("values", "vectors")
         eigh = np.linalg.eigh
 
         def signed_eigh(a):
             values, vectors = eigh(a)
             return values, -vectors
 
-        # eigh's vectors are taken as they come, signs included, and never read
-        # as a permutation; a diagonal is sorted and does not consult eigh
+        # every matrix, a diagonal too, takes eigh's vectors as they come, signs included
         monkeypatch.setattr(np.linalg, "eigh", signed_eigh)
-        dense = random_spd(np.random.default_rng(6), 3)
-        assert dense.eig.perm is None
-        assert np.array_equal(dense.eig.vectors, -eigh(dense.mat)[1])
-        assert np.array_equal(SymMatrix.diagonal([4.0, 1.0, 2.0]).eig.perm, [1, 2, 0])
+        for m in (random_spd(np.random.default_rng(6), 3), SymMatrix.diagonal([4.0, 1.0, 2.0])):
+            values, vectors = eigh(m.mat)
+            assert np.array_equal(m.eig.values, values)
+            assert np.array_equal(m.eig.vectors, -vectors)
 
     def test_identity(self):
         pair = SymMatrix(np.eye(3)).eig
@@ -226,7 +169,7 @@ class TestApplyFn:
     )
     def test_permutation_basis_stays_diagonal(self, entries):
         m = SymMatrix.diagonal(entries)
-        assert m.eig.perm is not None
+        assert m.is_diagonal
         for fn in (np.sqrt, np.exp, lambda w: 1.0 / w):
             if fn is not np.exp and min(entries) <= 0:
                 continue
@@ -234,7 +177,7 @@ class TestApplyFn:
             dense = (m.eig.vectors * fn(m.eig.values)) @ m.eig.vectors.T
             assert np.array_equal(out.mat, dense)
             assert np.array_equal(np.diagonal(out.mat), fn(np.asarray(entries, dtype=float)))
-            assert out.eig.perm is not None
+            assert out.is_diagonal
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -274,7 +217,6 @@ class TestDiagonalStorage:
         assert same_bits(stored.mat, dense.mat)
         assert same_bits(stored.diag, dense.diag)
         assert same_bits(stored.eig.values, dense.eig.values)
-        assert same_bits(stored.eig.perm, dense.eig.perm)
         assert same_bits(stored.eig.vectors, dense.eig.vectors)
         assert stored.extremes == (dense.eig.values[0], dense.eig.values[-1])
         fns = [np.exp, lambda w: np.sqrt(np.clip(w, 0.0, None))]

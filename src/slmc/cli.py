@@ -104,8 +104,12 @@ def _cmd_sample(args) -> int:
     _print_warnings(method, config.epsilons[0], warnings)
 
     every = args.trace_every or max(1, n_steps // 100)
-    if args.trace and every > n_steps:
-        raise ConfigError(f"--trace-every {every} exceeds n = {n_steps} steps: the trace would be empty")
+    if args.trace and (n_steps // every) * every < 3:
+        # a point needs a window of >= 2 states, xs[stop // 2 : stop], so a stop >= 3
+        raise ConfigError(
+            f"--trace-every {every} with n = {n_steps} steps logs no step from 3 on: "
+            "the trace would be empty"
+        )
 
     cell_index = config.methods.index(method) * len(config.epsilons)
     rng = np.random.default_rng(experiment.chain_seed(config.seed, cell_index, 0))
@@ -205,10 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
             "As in compare, burn-in defaults to min(n // 2, n - 1) steps.",
         )
     )
-    p_sample.add_argument("--format", choices=("csv", "bin"), default="csv")
     p_sample.add_argument("--method", choices=experiment.METHODS, default=None)
-    p_sample.add_argument("--trace", action="store_true", help="log a W2 convergence curve")
-    p_sample.add_argument("--trace-every", type=count, default=None)
+    output = p_sample.add_mutually_exclusive_group()
+    output.add_argument("--format", choices=("csv", "bin"), default=None, help="default csv")
+    output.add_argument("--trace", action="store_true", help="log a W2 convergence curve")
+    p_sample.add_argument("--trace-every", type=count, default=None, help="needs --trace")
+
+    def check_sample(args):  # what argparse cannot say: one option needing another
+        if args.trace_every is not None and not args.trace:
+            p_sample.error("argument --trace-every: needs --trace")
+
+    p_sample.set_defaults(check=check_sample)
 
     p_compare = with_config(sub.add_parser("compare", help="full experiment matrix to CSV"))
     p_compare.add_argument(
@@ -231,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_w2.add_argument("file_a")
     p_w2.add_argument("file_b")
 
-    parser.set_defaults(func=None)
+    parser.set_defaults(func=None, check=None)
     for name, fn in (
         ("tune", _cmd_tune),
         ("plan", _cmd_plan),
@@ -248,6 +259,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.check is not None:
+            args.check(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:

@@ -29,12 +29,12 @@ from .sampler import ChainState, kernel_moments
 from .spd import SymMatrix
 from .tuner import ScalingConfig
 
-#: Entrywise relative error up to which a case passes. The reference agrees with
-#: the closed forms to ~1e-12 except near s = gamma a delta = 1e-3, where
-#: ``sampler._cov_xx_shape`` itself is off by up to ~1e-9 (cancellation just
-#: above the switch, series truncation just below), so a tighter bound would
-#: fail the kernel on an error it knowingly carries.
-TOLERANCE = 1e-8
+#: Entrywise relative error up to which a case passes. The closed forms are exact
+#: to rounding (``sampler._cov_xx_shape`` included, by its series below s = 1);
+#: what is left is the reference's own error, from the expm scaling and squaring
+#: over eigenvalues spread across seven decades: up to 2.3e-11 over the 1,000
+#: ``kernel_validation_cases`` of seeds 0-99, so 1e-10 leaves a margin of ~4.
+TOLERANCE = 1e-10
 
 
 def exact_step_moments(

@@ -52,6 +52,7 @@ a multiple of I beside a dense A, the rounding of the change of variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,12 +110,26 @@ class KernelMoments:
         return SymMatrix(np.vstack([top, bottom]))
 
 
+#: Taylor coefficients c_k = (-1)^k (2 - 2^(k-1)) / k! of g below, k = 25 down to 3.
+_COV_XX_SERIES = tuple(
+    (-1) ** k * (2 - 2 ** (k - 1)) / math.factorial(k) for k in range(25, 2, -1)
+)
+
+
 def _cov_xx_shape(s: np.ndarray) -> np.ndarray:
-    """g(s) = s + 2 expm1(-s) - expm1(-2s)/2, switching to its series
-    s^3/3 - s^4/4 + 7 s^5/60 below s = 1e-3 where the direct form cancels."""
-    direct = s + 2.0 * np.expm1(-s) - 0.5 * np.expm1(-2.0 * s)
-    series = s**3 / 3.0 - s**4 / 4.0 + 7.0 * s**5 / 60.0
-    return np.where(s < 1e-3, series, direct)
+    """g(s) = s + 2 expm1(-s) - expm1(-2s)/2, exact to rounding: below s = 1,
+    where the direct form cancels, its series s^3 sum_{k=3}^{25} c_k s^(k-3) by
+    Horner (the first omitted term is below 1e-17 of g); from s = 1 on, where it
+    cancels by at most a factor ~8, the direct form."""
+    out = s + 2.0 * np.expm1(-s) - 0.5 * np.expm1(-2.0 * s)
+    small = s < 1.0
+    t = s[small]
+    acc = np.full_like(t, _COV_XX_SERIES[0])
+    for c in _COV_XX_SERIES[1:]:
+        acc *= t
+        acc += c
+    out[small] = t**3 * acc
+    return out
 
 
 def _modes(config: ScalingConfig, delta: float):

@@ -18,6 +18,8 @@ from .errors import InvalidInput, MinimizerNotFound, NotPositiveDefinite
 from .spd import SymMatrix, spd_apply_fn
 
 _GRAD_AT_MIN_TOL = 1e-8
+#: Entries per block of a batched logistic Hessian (see ``make_logistic_ridge``).
+_HESS_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,9 +27,13 @@ class TargetModel:
     """A log-concave target with oracle access and known constants.
 
     ``value_oracle``, ``grad_oracle`` and ``hess_oracle`` evaluate f,
-    grad f and the Hessian (as a SymMatrix) at a point; ``grad_oracle``
+    grad f and the Hessian (as a SymMatrix) at a point. ``grad_oracle``
     also maps a (C, d) batch of points to their (C, d) gradients, row by
-    row, and construction checks this on a (1, d) batch. ``m`` and ``L``
+    row, and construction checks this on a (1, d) batch. ``hess_oracle``
+    maps a (k, d) batch to a (k, d, d) array of symmetric Hessians, which
+    may be read-only and may differ from the point Hessians in rounding;
+    construction does not check this, its caller (``tuner.estimate_theta``)
+    does, so that building a target costs no Hessian pass. ``m`` and ``L``
     are the strong-convexity and gradient-Lipschitz constants,
     ``minimizer`` the unique minimum of f. ``hess_constant`` marks
     targets whose Hessian does not depend on the evaluation point.
@@ -40,7 +46,7 @@ class TargetModel:
     name: str
     value_oracle: Callable[[np.ndarray], float]
     grad_oracle: Callable[[np.ndarray], np.ndarray]
-    hess_oracle: Callable[[np.ndarray], SymMatrix]
+    hess_oracle: Callable[[np.ndarray], SymMatrix | np.ndarray]
     m: float
     L: float
     minimizer: np.ndarray
@@ -123,8 +129,9 @@ def make_gaussian(
     """Gaussian target f(x) = (x-mean)^T P (x-mean) / 2 for SPD precision P.
 
     The Hessian is the constant P, so m and L are its extreme
-    eigenvalues and the stationary position covariance is P^{-1}. A
-    diagonal P is applied elementwise.
+    eigenvalues and the stationary position covariance is P^{-1}; a (k, d)
+    batch of points maps to P repeated k times, a read-only (k, d, d) view.
+    A diagonal P is applied elementwise.
     """
     mean = np.asarray(mean, dtype=float)
     d = precision.dim
@@ -143,7 +150,9 @@ def make_gaussian(
         r = x - mean
         return r @ p if diag is None else r * diag  # row-wise, as p is symmetric
 
-    def hess(_: np.ndarray) -> SymMatrix:
+    def hess(x: np.ndarray) -> SymMatrix | np.ndarray:
+        if np.ndim(x) == 2:
+            return np.broadcast_to(precision.mat, (x.shape[0], d, d))
         return precision
 
     return TargetModel(
@@ -186,6 +195,15 @@ def make_logistic_ridge(
     The Hessian is (B * w) @ B^T + ridge I with w = sigma(z) sigma(-z)
     = e/(1 + e)^2, e = exp(-|z|) (as y_i^2 = 1), which cannot overflow;
     f itself uses logaddexp.
+
+    A (k, d) batch of points gets its k Hessians from one product W @ Q:
+    W holds the (k, rows) weights w, and row i of Q the upper triangle of
+    b_i b_i^T, the d(d+1)/2 products b_ir b_ic, r <= c; each row of W @ Q
+    is one Hessian's upper triangle, mirrored into a (k, d, d) array. Both
+    factors are built in blocks of R = 2^15 // (d(d+1)/2) rows (at least 1)
+    and 2^15 // R probes, so no (k, rows) or (rows, d(d+1)/2) array is held
+    whole. The sums run in another order than the point Hessian's, so the
+    two agree to rounding (~1e-16 of max|H|), not bit for bit.
     """
     a = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -226,10 +244,37 @@ def make_logistic_ridge(
 
     grad = gradient(ya_t)
 
-    def hess(x: np.ndarray) -> SymMatrix:
+    tri = d * (d + 1) // 2
+    upper = np.triu_indices(d)
+    rows_per_block = max(1, min(n, _HESS_BLOCK // tri))
+    probes_per_block = max(1, _HESS_BLOCK // rows_per_block)
+
+    def hess(x: np.ndarray) -> SymMatrix | np.ndarray:
+        if np.ndim(x) == 2:
+            return hess_stack(x)
         e = np.exp(-np.abs(x @ ya_t))
         w = e / np.square(1.0 + e)
         return SymMatrix((ya_t * w) @ ya_t.T + ridge_eye)
+
+    def hess_stack(xs: np.ndarray) -> np.ndarray:
+        k = xs.shape[0]
+        packed = np.zeros((k, tri))  # upper triangles, row by row
+        for lo in range(0, n, rows_per_block):
+            b = ya_t[:, lo : lo + rows_per_block]
+            q = b[upper[0]]  # (tri, rows): column i holds b_i b_i^T's upper triangle
+            q *= b[upper[1]]
+            for p in range(0, k, probes_per_block):
+                w = xs[p : p + probes_per_block] @ b
+                np.abs(w, out=w)
+                np.negative(w, out=w)
+                np.exp(w, out=w)  # e = exp(-|z|), then w = e/(1 + e)^2 in place
+                w /= np.square(1.0 + w)
+                packed[p : p + probes_per_block] += w @ q.T
+        out = np.empty((k, d, d))
+        out[:, upper[0], upper[1]] = packed
+        out[:, upper[1], upper[0]] = packed
+        out.reshape(k, d * d)[:, :: d + 1] += ridge  # the diagonals
+        return out
 
     minimizer = _newton_minimize(value, grad, hess, d, max_newton_iter)
     return TargetModel(

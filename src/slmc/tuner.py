@@ -76,6 +76,14 @@ def estimate_theta(
     a lower bound on the true oscillation. Targets whose Hessian is
     flagged constant short-circuit to exactly zero and read no probe, so
     their probe set may be empty.
+
+    The probes are read in one pass: one ``hess_oracle`` call on the
+    (k, d) batch of all k probes (for the logistic target, one blocked
+    product W @ Q; see ``targets.make_logistic_ridge``), whose (k, d, d)
+    result must be finite and of that shape, else ``InvalidInput``; then
+    one stacked ``eigvalsh`` of the k differences per candidate. Each
+    candidate's Hessian is a point call, so m_hat keeps the point
+    Hessian's bits, and theta is exact to the rounding of the batch.
     """
     if len(candidate_ys) == 0:
         raise InvalidInput("candidate set must be nonempty")
@@ -85,8 +93,18 @@ def estimate_theta(
         return ThetaEstimate(theta=0.0, y_hat=y0, m_hat=m_hat)
     if len(probe_xs) == 0:
         raise InvalidInput("probe set must be nonempty")
+    k, d = len(probe_xs), target.dim
+    try:
+        probe_hessians = np.asarray(target.hess_oracle(np.array(probe_xs, dtype=float)))
+    except (ValueError, TypeError, IndexError) as exc:
+        raise InvalidInput(f"hess_oracle fails on the ({k}, d) probe batch: {exc}") from exc
+    if probe_hessians.shape != (k, d, d):
+        raise InvalidInput(
+            f"hess_oracle maps the ({k}, d) probe batch to shape {probe_hessians.shape}"
+        )
+    if not np.isfinite(probe_hessians).all():
+        raise InvalidInput("hess_oracle gives non-finite probe Hessians")
 
-    probe_hessians = [target.hess_oracle(np.asarray(x, dtype=float)).mat for x in probe_xs]
     best_value = math.inf
     best_y = None
     best_m = None
@@ -96,10 +114,8 @@ def estimate_theta(
         m_y = float(np.linalg.eigvalsh(h_y)[0])
         if m_y <= 0.0:
             raise InvalidInput("candidate anchor has a non-SPD Hessian")
-        value = 0.0
-        for h_x in probe_hessians:
-            spectral = float(np.abs(np.linalg.eigvalsh(h_x - h_y)).max())
-            value = max(value, spectral / m_y)
+        spectral = np.abs(np.linalg.eigvalsh(probe_hessians - h_y)).max()
+        value = float(spectral) / m_y
         if value < best_value:
             best_value, best_y, best_m = value, y, m_y
     return ThetaEstimate(theta=best_value, y_hat=best_y, m_hat=best_m)

@@ -38,3 +38,21 @@ def test_toy_workload_sets_up(bench, tmp_path, name):
     assert name in workloads.NAMES
     config = workloads.make_workload(name, 1, str(tmp_path), size="toy").config
     assert isinstance(workloads.setup_once(config), StepCache)
+
+
+def test_traced_hessian_keeps_theta_bits(bench, tmp_path):
+    # the tracer wraps hess_oracle pass-through; the probe batch must reach the
+    # oracle as it is, or the traced and untraced CSVs would differ
+    import tracing
+    import workloads
+
+    config = workloads.make_workload("logistic-d20-fixed", 1, str(tmp_path), size="toy").config
+    plain = workloads.setup_once(config).config
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        traced = workloads.setup_once(config).config
+    assert tracer.calls("targets.hess") == 3  # the probe batch, the candidate, the anchor
+    assert plain.theta > 0.0
+    assert traced.theta.hex() == plain.theta.hex()
+    assert traced.m_hat == plain.m_hat
+    assert np.array_equal(traced.A.mat, plain.A.mat)

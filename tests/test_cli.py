@@ -44,8 +44,8 @@ PINNED_UNSORTED_RESULTS = (
 
 #: sha256 of each file ``sample`` writes on CONFIG at the default seed (method scaled).
 PINNED_SAMPLE_SHA256 = {
-    "samples_scaled.csv": "a3f1d87e5cc664a6ea25ac79d6e28e07f0dadba84bd21d0cde7fddbfbfdeab43",
-    "samples_scaled.bin": "6bcfe28c2b7d6674658cedd699eaca4246068fb2725e7ac083427f49081a2262",
+    "samples_scaled.csv": "898b3b2b1130df2cd66dd33dff08faadd7938a6416c2f8f496edb97c2cadb28f",
+    "samples_scaled.bin": "078c331f4ab5a98cb4e12ee12128b86dffd3e0d25c91d2ad383a3a62ed4516b3",
     "trace_scaled.csv": "b7dc310224935d09af8ee5c5f2bbb48b47624d25138346f35167160e3782dbfa",
 }
 
@@ -266,7 +266,58 @@ class TestSample:
                 "--trace-every", "1000"]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err[-1] == "slmc: config error: --trace-every 1000 exceeds n = 500 steps: the trace would be empty"
+        assert err[-1] == (
+            "slmc: config error: --trace-every 1000 with n = 500 steps logs no step from 3 on: "
+            "the trace would be empty"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "n_steps, every, points",
+        [(1, None, 0), (3, "2", 0), (3, "1", 1), (3, "3", 1), (4, "2", 1)],
+    )
+    def test_trace_needs_a_logged_step_from_3_on(
+        self, tmp_path, capsys, monkeypatch, n_steps, every, points
+    ):
+        # a point is the W2 of a window xs[stop // 2 : stop] of >= 2 states; with
+        # every logged stop below 3 it wrote a header-only trace and exited 0
+        path = tmp_path / "short.cfg"
+        path.write_text(
+            CONFIG.replace("n_steps = 500", f"n_steps = {n_steps}").replace("burn_in = 100", "burn_in = 0")
+        )
+        if points == 0:
+            def refuse(*args):
+                raise AssertionError("a chain ran")
+
+            monkeypatch.setattr(sampler, "_Batch", refuse)
+        out_dir = tmp_path / "out"
+        argv = ["sample", "--config", str(path), "--out", str(out_dir), "--trace"]
+        argv += [] if every is None else ["--trace-every", every]
+        if points == 0:
+            assert main(argv) == 2
+            assert "logs no step from 3 on" in capsys.readouterr().err
+            assert not out_dir.exists()
+        else:
+            assert main(argv) == 0
+            lines = (out_dir / "trace_scaled.csv").read_text().splitlines()
+            assert len(lines) == 1 + points
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trace-every", "7"], "argument --trace-every: needs --trace"),
+            (["--trace", "--format", "bin"], "argument --format: not allowed with argument --trace"),
+            (["--format", "csv", "--trace"], "argument --trace: not allowed with argument --format"),
+        ],
+        ids=["trace-every-alone", "trace-then-format", "format-then-trace"],
+    )
+    def test_an_option_that_would_be_ignored_is_a_usage_error(
+        self, config_path, tmp_path, capsys, flags, message
+    ):
+        # each wrote the other kind of output and exited 0
+        out_dir = tmp_path / "out"
+        assert main(["sample", "--config", str(config_path), "--out", str(out_dir), *flags]) == USAGE_EXIT
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("every", ["0", "-5"])

@@ -61,6 +61,22 @@ class TestExactStepMoments:
         assert all(np.abs(m[:2, :2]).sum(axis=0).max() <= 0.5 for m in seen)
         assert report.passed, (report.mean_error, report.cov_error)
 
+    def test_modes_straddling_the_cancellation_region_pass(self):
+        # just above s = gamma a delta = 1e-3 the direct form of cov_yy cancels
+        # to an error of ~7e-10, which the 1e-10 bound must catch
+        s = np.array([9.99e-4, 1.0e-3, 1.003e-3, 1.01e-3, 0.3])
+        rng = np.random.default_rng(4)
+        case = KernelCase(
+            label="straddle",
+            config=make_config(SymMatrix.diagonal(s / 0.5), u=1.3),
+            state=ChainState(x=rng.standard_normal(5), v=rng.standard_normal(5)),
+            grad=rng.standard_normal(5),
+            delta=0.5,
+        )
+        report = check_case(case)
+        assert report.passed, (report.mean_error, report.cov_error)
+        assert report.cov_error <= 1e-14
+
     def test_unsorted_diagonal_a_passes(self):
         # a diagonal A's modes are its entries in coordinate order, checked against
         # the matrix exponential of the dense A; the suite's own cases are rotated

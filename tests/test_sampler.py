@@ -13,6 +13,7 @@ from slmc.experiment import tune_scaled
 from slmc.sampler import (
     NOISE_BLOCK_DOUBLES,
     _Batch,
+    _cov_xx_shape,
     Cell,
     ChainState,
     coupled_pair_run,
@@ -156,6 +157,31 @@ class TestKernelMoments:
         state = ChainState(x=np.zeros(2), v=np.zeros(2))
         with pytest.raises(InvalidInput):
             kernel_moments(state, np.zeros(2), config, 0.0)
+
+
+#: g(s) = s + 2 expm1(-s) - expm1(-2s)/2, each value rounded from 50 digits.
+COV_XX_SHAPE_REFERENCE = [
+    (1e-08, 3.333333308333334e-25),
+    (1e-05, 3.3333083334500003e-16),
+    (0.000999, 3.320854475440936e-10),
+    (0.001, 3.3308344995834563e-10),
+    (0.001003, 3.3608944719110154e-10),
+    (0.01, 3.308449584560374e-07),
+    (0.1, 0.00030945953292821707),
+    (0.5, 0.029121598839545685),
+    (0.999, 0.167691896900231),
+    (1.0, 0.1680912407245783),
+    (2.0, 0.7615127470288583),
+    (10.0, 8.500090798828948),
+    (500.0, 498.5),
+]
+
+
+class TestCovXXShape:
+    def test_matches_reference_values(self):
+        # the direct form alone is off by up to ~1e-9 just above s = 1e-3
+        s, expected = np.array(COV_XX_SHAPE_REFERENCE).T
+        np.testing.assert_allclose(_cov_xx_shape(s), expected, rtol=1e-15, atol=0.0)
 
 
 class TestStepCache:

@@ -229,6 +229,41 @@ class TestBatchContract:
         rows = np.stack([target.grad_oracle(x) for x in points])
         assert np.allclose(batch, rows, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "shape, block",
+        [((25, 3), None), ((25, 3), 50), ((2000, 20), None)],
+        ids=["25x3", "25x3-small-blocks", "2000x20"],
+    )
+    def test_hessian_batch_matches_points(self, monkeypatch, shape, block):
+        # a batch is one blocked product W @ Q, summed in another order than a
+        # point's (B * w) @ B^T: equal to rounding, and exactly symmetric
+        if block is not None:  # 8 rows and 6 probes a block: every loop runs more than once
+            monkeypatch.setattr(slmc.targets, "_HESS_BLOCK", block)
+        rows, d = shape
+        if d == 3:
+            target = random_logistic(21, rows=rows, d=d, ridge=0.3, scale=1.5)
+        else:
+            target = random_logistic(7, rows=rows, d=d, ridge=1.0)
+        points = np.random.default_rng(23).standard_normal((20, d)) * 2.0
+        batch = target.hess_oracle(points)
+        assert batch.shape == (20, d, d)
+        assert np.array_equal(batch, batch.transpose(0, 2, 1))
+        singles = [target.hess_oracle(x) for x in points]
+        assert all(isinstance(h, SymMatrix) for h in singles)
+        expected = np.stack([h.mat for h in singles])
+        assert np.abs(batch - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("stored", ["diagonal", "dense"])
+    def test_gaussian_hessian_batch_is_its_precision_repeated(self, stored):
+        entries = [4.0, 1.0, 2.0]
+        dense = SymMatrix(np.diag(entries))
+        precision = SymMatrix.diagonal(entries) if stored == "diagonal" else dense
+        target = make_gaussian(np.zeros(3), precision)
+        assert target.hess_oracle(np.zeros(3)) is precision
+        batch = target.hess_oracle(np.ones((4, 3)))
+        assert batch.shape == (4, 3, 3)
+        assert all(np.array_equal(h, precision.mat) for h in batch)
+
     @staticmethod
     def model_with(grad):
         target = make_gaussian(np.zeros(2), SymMatrix(np.diag([1.0, 4.0])))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,15 +24,20 @@ def logistic_target():
     return random_logistic(21, rows=25, d=3, ridge=0.3, scale=1.5)
 
 
-def brute_force_theta(target, candidates, probes):
-    """Independent exhaustive double loop over the same finite sets."""
+def brute_force_theta(target, candidates, probes, batched=True):
+    """Independent exhaustive double loop over the same finite sets. The probe
+    Hessians come from one batch call, as ``estimate_theta`` reads them, or with
+    ``batched=False`` from one point call each."""
+    if batched:
+        probe_hessians = list(target.hess_oracle(np.array(probes, dtype=float)))
+    else:
+        probe_hessians = [target.hess_oracle(np.asarray(x, dtype=float)).mat for x in probes]
     best_value, best_y, best_m = math.inf, None, None
     for y in candidates:
         h_y = target.hess_oracle(np.asarray(y, dtype=float)).mat
         m_y = float(np.linalg.eigvalsh(0.5 * (h_y + h_y.T))[0])
         value = 0.0
-        for x in probes:
-            h_x = target.hess_oracle(np.asarray(x, dtype=float)).mat
+        for h_x in probe_hessians:
             diff = h_x - h_y
             norm = float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.T))).max())
             value = max(value, norm / m_y)
@@ -61,15 +67,83 @@ class TestEstimateTheta:
         est = estimate_theta(target, [np.zeros(2)], [np.ones(2)])
         assert est.theta == 0.0
 
+    @staticmethod
+    def search_sets(target, seed=0):
+        rng = np.random.default_rng(seed)
+        d = target.dim
+        candidates = [target.minimizer, rng.standard_normal(d)]
+        probes = [rng.standard_normal(d) * r for r in (0.5, 1.0, 2.0) for _ in range(15)]
+        return candidates, probes
+
     def test_matches_brute_force(self, logistic_target):
-        rng = np.random.default_rng(0)
-        candidates = [logistic_target.minimizer, rng.standard_normal(3)]
-        probes = [rng.standard_normal(3) * r for r in (0.5, 1.0, 2.0) for _ in range(15)]
+        candidates, probes = self.search_sets(logistic_target)
         est = estimate_theta(logistic_target, candidates, probes)
         value, y, m_y = brute_force_theta(logistic_target, candidates, probes)
         assert est.theta == value
         assert np.array_equal(est.y_hat, y)
         assert est.m_hat == m_y
+
+    @pytest.mark.parametrize("shape", [(25, 3), (2000, 20)])
+    def test_matches_per_point_brute_force_to_rounding(self, logistic_target, shape):
+        # the probe Hessians of one batch differ from the point ones in rounding only
+        rows, d = shape
+        target = logistic_target if d == 3 else random_logistic(7, rows=rows, d=d, ridge=1.0)
+        candidates, probes = self.search_sets(target, seed=3)
+        est = estimate_theta(target, candidates, probes)
+        value, y, m_y = brute_force_theta(target, candidates, probes, batched=False)
+        assert est.theta == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert np.array_equal(est.y_hat, y)
+        assert est.m_hat == m_y
+
+    def test_one_probe_batch_call(self, logistic_target):
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return logistic_target.hess_oracle(x)
+
+        target = replace(logistic_target, hess_oracle=counted)
+        candidates, probes = self.search_sets(logistic_target)
+        estimate_theta(target, candidates, probes)
+        assert calls == [(len(probes), 3), (3,), (3,)]
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            lambda stack: stack[0],  # the batch axis dropped
+            lambda stack: stack[:-1],  # a probe missing
+            lambda stack: stack[:, :2],  # rows missing
+            lambda stack: np.where(np.arange(3) == 1, np.nan, stack),
+            lambda stack: np.where(np.arange(3) == 2, np.inf, stack),
+        ],
+        ids=["no-batch-axis", "short", "not-square", "nan", "inf"],
+    )
+    def test_bad_probe_stack_rejected(self, logistic_target, broken):
+        def hess(x):
+            h = logistic_target.hess_oracle(x)
+            return broken(h) if np.ndim(x) == 2 else h
+
+        target = replace(logistic_target, hess_oracle=hess)
+        candidates, probes = self.search_sets(logistic_target)
+        with pytest.raises(InvalidInput):
+            estimate_theta(target, candidates, probes)
+
+    def test_point_only_oracle_rejected(self, logistic_target):
+        def hess(x):
+            if np.ndim(x) != 1:
+                raise ValueError("points only")
+            return logistic_target.hess_oracle(x)
+
+        target = replace(logistic_target, hess_oracle=hess)
+        with pytest.raises(InvalidInput, match="fails on the"):
+            estimate_theta(target, *self.search_sets(logistic_target))
+
+    @pytest.mark.parametrize(
+        "probes", [[np.zeros(3), np.zeros(2)], [np.zeros(4)]], ids=["ragged", "wrong-dimension"]
+    )
+    def test_misshaped_probes_rejected(self, logistic_target, probes):
+        with pytest.raises(InvalidInput):
+            estimate_theta(logistic_target, [logistic_target.minimizer], probes)
 
     def test_empty_inputs_rejected(self, logistic_target):
         with pytest.raises(InvalidInput):

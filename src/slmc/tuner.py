@@ -114,8 +114,7 @@ def estimate_theta(
         m_y = float(np.linalg.eigvalsh(h_y)[0])
         if m_y <= 0.0:
             raise InvalidInput("candidate anchor has a non-SPD Hessian")
-        spectral = np.abs(np.linalg.eigvalsh(probe_hessians - h_y)).max()
-        value = float(spectral) / m_y
+        value = float(np.abs(np.linalg.eigvalsh(probe_hessians - h_y)).max()) / m_y
         if value < best_value:
             best_value, best_y, best_m = value, y, m_y
     return ThetaEstimate(theta=best_value, y_hat=best_y, m_hat=best_m)

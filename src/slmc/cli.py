@@ -111,8 +111,8 @@ def _cmd_sample(args) -> int:
             "the trace would be empty"
         )
 
-    cell_index = config.methods.index(method) * len(config.epsilons)
-    rng = np.random.default_rng(experiment.chain_seed(config.seed, cell_index, 0))
+    # chain 0 of the method's first cell, as in compare
+    rng = next(rngs[0] for cell_method, _, rngs in experiment.config_cells(config) if cell_method == method)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

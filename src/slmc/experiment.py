@@ -10,11 +10,11 @@ oscillation probes use :data:`PROBE_SALT`.
 from __future__ import annotations
 
 import os
-import queue
-import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -112,27 +112,73 @@ class ResultRow:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing: [section] headers, `key = value` lines, `#` comments.
+# Config parsing.
 
-_SCHEMA = {
-    "target": {"kind", "name", "dim", "precision_diag", "mean", "dataset", "ridge"},
-    "init": {"x0", "dist_bound"},
-    "run": {
-        "methods",
-        "epsilons",
-        "seed",
-        "chains",
-        "delta",
-        "n_steps",
-        "burn_in",
-        "thin",
-        "out",
-    },
+
+def _floats(value: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in value.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ValueError(f"expected a comma-separated number list: {exc}") from exc
+
+
+def _methods(value: str) -> tuple[str, ...]:
+    methods = tuple(tok.strip().lower() for tok in value.split(",") if tok.strip())
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+    return methods
+
+
+class ConfigKey(NamedTuple):
+    """A config key's dataclass field and value parser, and an exclusive lower
+    bound on its value (on each entry of a list) with the message if not met."""
+
+    field: str
+    parse: Callable[[str], object]
+    above: float | None = None
+    message: str = ""
+
+
+#: Every config key, (section, key) -> how it is read. ``[target]`` keys fill
+#: :class:`TargetSpecification`, the others :class:`ExperimentConfig`.
+CONFIG_KEYS = {
+    ("target", "kind"): ConfigKey("kind", str.lower),
+    ("target", "name"): ConfigKey("name", str),
+    ("target", "dim"): ConfigKey("dim", int),
+    ("target", "precision_diag"): ConfigKey("precision_diag", _floats),
+    ("target", "mean"): ConfigKey("mean", _floats),
+    ("target", "dataset"): ConfigKey("dataset", str),
+    ("target", "ridge"): ConfigKey("ridge", float),
+    ("init", "x0"): ConfigKey("x0", _floats),
+    ("init", "dist_bound"): ConfigKey("dist_bound", float),
+    ("run", "methods"): ConfigKey("methods", _methods),
+    ("run", "epsilons"): ConfigKey("epsilons", _floats, 0, "epsilons must be positive"),
+    ("run", "seed"): ConfigKey("seed", int),
+    ("run", "chains"): ConfigKey("chains", int, 0, "chains must be positive"),
+    ("run", "delta"): ConfigKey("delta_override", float),
+    ("run", "n_steps"): ConfigKey("n_override", int),
+    ("run", "burn_in"): ConfigKey("burn_in", int, -1, "burn_in must be nonnegative"),
+    ("run", "thin"): ConfigKey("thin", int, 0, "thin must be positive"),
+    ("run", "out"): ConfigKey("out_dir", str),
 }
 
 
-def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
-    entries: dict[tuple[str, str], tuple[str, int]] = {}
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse experiment config text.
+
+    The text is ``[section]`` headers, each followed by ``key = value`` lines;
+    ``#`` starts a comment. :data:`CONFIG_KEYS` names every section and key
+    and the field each fills. Number lists and ``methods`` are comma-separated.
+    ``[target] kind`` is required: ``gaussian`` needs ``precision_diag``, whose
+    length ``dim`` and ``mean`` must match, and ``logistic`` needs ``dataset``
+    and ``ridge``. ``[run]`` needs ``methods`` and ``epsilons``; ``delta`` and
+    ``n_steps``, which override the plan, come together. A key left out takes
+    its field's default: seed 0, 4 chains, thin 1, out ``.``, and burn-in half
+    the run. A ``ConfigError`` names the first line at fault, if one is.
+    """
+    found: dict[str, dict] = {section: {} for section, _ in CONFIG_KEYS}
+    lines: dict[str, int] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -140,7 +186,7 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SCHEMA:
+            if section not in found:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in line:
@@ -148,131 +194,46 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
         if section is None:
             raise ConfigError("key outside of any [section]", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA[section]:
+        row = CONFIG_KEYS.get((section, key))
+        if row is None:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
-        if (section, key) in entries:
+        if row.field in lines:
             raise ConfigError(f"duplicate key {key!r} in section [{section}]", lineno)
-        entries[(section, key)] = (value, lineno)
-    return entries
+        try:
+            parsed = row.parse(value)
+        except ValueError as exc:  # int and float get a message here, the other parsers word their own
+            what = {int: "an integer", float: "a number"}.get(row.parse)
+            raise ConfigError(f"expected {what}, got {value!r}" if what else str(exc), lineno) from exc
+        if row.above is not None and any(v <= row.above for v in np.atleast_1d(parsed)):
+            raise ConfigError(row.message, lineno)
+        found[section][row.field], lines[row.field] = parsed, lineno
 
-
-def _floats(value: str, lineno: int) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in value.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated number list: {exc}", lineno) from exc
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse experiment config text, filling defaults (chains=4, seed=0)."""
-    entries = _parse_lines(text)
-
-    def take(section: str, key: str) -> tuple[str, int] | None:
-        return entries.get((section, key))
-
-    kind_entry = take("target", "kind")
-    if kind_entry is None:
+    spec, run = found["target"], found["run"]
+    if "kind" not in spec:
         raise ConfigError("missing target: section [target] must set `kind`")
-    kind = kind_entry[0].lower()
-    if kind not in ("gaussian", "logistic"):
-        raise ConfigError(f"unknown target kind {kind!r}", kind_entry[1])
-
-    spec_kwargs: dict = {"kind": kind}
-    if (entry := take("target", "name")) is not None:
-        spec_kwargs["name"] = entry[0]
-    if (entry := take("target", "dim")) is not None:
-        spec_kwargs["dim"] = _int(entry)
-    if (entry := take("target", "precision_diag")) is not None:
-        spec_kwargs["precision_diag"] = _floats(*entry)
-    if (entry := take("target", "mean")) is not None:
-        spec_kwargs["mean"] = _floats(*entry)
-    if (entry := take("target", "dataset")) is not None:
-        spec_kwargs["dataset"] = entry[0]
-    if (entry := take("target", "ridge")) is not None:
-        spec_kwargs["ridge"] = _float(entry)
-    target = TargetSpecification(**spec_kwargs)
-    _validate_target_spec(target, entries)
-
-    methods_entry = take("run", "methods")
-    methods = tuple(
-        tok.strip().lower() for tok in (methods_entry[0] if methods_entry else "").split(",") if tok.strip()
-    )
-    if not methods:
-        raise ConfigError("at least one method is required (run.methods)")
-    for method in methods:
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}", methods_entry[1])
-
-    eps_entry = take("run", "epsilons")
-    epsilons = _floats(*eps_entry) if eps_entry else ()
-    if not epsilons:
-        raise ConfigError("at least one epsilon is required (run.epsilons)")
-    if any(e <= 0 for e in epsilons):
-        raise ConfigError("epsilons must be positive", eps_entry[1])
-
-    kwargs: dict = {"target": target, "methods": methods, "epsilons": epsilons}
-    if (entry := take("run", "seed")) is not None:
-        kwargs["seed"] = _int(entry)
-    if (entry := take("run", "chains")) is not None:
-        kwargs["chains"] = _int(entry)
-        if kwargs["chains"] < 1:
-            raise ConfigError("chains must be positive", entry[1])
-    delta_entry = take("run", "delta")
-    n_entry = take("run", "n_steps")
-    if (delta_entry is None) != (n_entry is None):
-        lineno = (delta_entry or n_entry)[1]
-        raise ConfigError("delta and n_steps overrides must be given together", lineno)
-    if delta_entry is not None:
-        kwargs["delta_override"] = _float(delta_entry)
-        kwargs["n_override"] = _int(n_entry)
-        if kwargs["delta_override"] <= 0 or kwargs["n_override"] < 1:
-            raise ConfigError("overrides must be positive", delta_entry[1])
-    if (entry := take("run", "burn_in")) is not None:
-        kwargs["burn_in"] = _int(entry)
-        if kwargs["burn_in"] < 0:
-            raise ConfigError("burn_in must be nonnegative", entry[1])
-    if (entry := take("run", "thin")) is not None:
-        kwargs["thin"] = _int(entry)
-        if kwargs["thin"] < 1:
-            raise ConfigError("thin must be positive", entry[1])
-    if (entry := take("run", "out")) is not None:
-        kwargs["out_dir"] = entry[0]
-    if (entry := take("init", "x0")) is not None:
-        kwargs["x0"] = _floats(*entry)
-    if (entry := take("init", "dist_bound")) is not None:
-        kwargs["dist_bound"] = _float(entry)
-    return ExperimentConfig(**kwargs)
-
-
-def _int(entry: tuple[str, int]) -> int:
-    value, lineno = entry
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {value!r}", lineno) from exc
-
-
-def _float(entry: tuple[str, int]) -> float:
-    value, lineno = entry
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {value!r}", lineno) from exc
-
-
-def _validate_target_spec(spec: TargetSpecification, entries) -> None:
-    if spec.kind == "gaussian":
-        if spec.precision_diag is None:
+    if spec["kind"] == "gaussian":
+        if "precision_diag" not in spec:
             raise ConfigError("gaussian target requires precision_diag")
-        if spec.dim is not None and spec.dim != len(spec.precision_diag):
+        d = len(spec["precision_diag"])
+        if spec.get("dim", d) != d:
             raise ConfigError("dim does not match precision_diag length")
-        if spec.mean is not None and len(spec.mean) != len(spec.precision_diag):
+        if len(spec.get("mean", spec["precision_diag"])) != d:
             raise ConfigError("mean does not match precision_diag length")
+    elif spec["kind"] == "logistic":
+        for field in ("dataset", "ridge"):
+            if field not in spec:
+                raise ConfigError(f"logistic target requires {field}")
     else:
-        if spec.dataset is None:
-            raise ConfigError("logistic target requires dataset")
-        if spec.ridge is None:
-            raise ConfigError("logistic target requires ridge")
+        raise ConfigError(f"unknown target kind {spec['kind']!r}", lines["kind"])
+    for field, name in (("methods", "method"), ("epsilons", "epsilon")):
+        if not run.get(field):
+            raise ConfigError(f"at least one {name} is required (run.{field})")
+    if ("delta_override" in run) != ("n_override" in run):
+        lineno = lines.get("delta_override", lines.get("n_override"))
+        raise ConfigError("delta and n_steps overrides must be given together", lineno)
+    if "delta_override" in run and (run["delta_override"] <= 0 or run["n_override"] < 1):
+        raise ConfigError("overrides must be positive", lines["delta_override"])
+    return ExperimentConfig(target=TargetSpecification(**spec), **run, **found["init"])
 
 
 def build_target(spec: TargetSpecification) -> TargetModel:
@@ -384,6 +345,17 @@ def prepare_run(config: ExperimentConfig, methods: tuple[str, ...] | None = None
     return RunSetup(target=target, init=init, scaled=scaled, unscaled=unscaled)
 
 
+def config_cells(config: ExperimentConfig) -> list[tuple[str, float, tuple[np.random.Generator, ...]]]:
+    """Each (method, epsilon) cell of ``config`` in run order, with its chains'
+    generators: chain c of cell i draws from ``chain_seed(config.seed, i, c)``."""
+
+    def rngs(i: int) -> tuple[np.random.Generator, ...]:
+        return tuple(np.random.default_rng(chain_seed(config.seed, i, c)) for c in range(config.chains))
+
+    cells = product(config.methods, config.epsilons)
+    return [(method, epsilon, rngs(i)) for i, (method, epsilon) in enumerate(cells)]
+
+
 def available_cpus() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -398,18 +370,18 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
     chain runs. The chains of all cells then run as one batch
     (:func:`run_cells`), which hands over each cell as it ends: its
     ``vel_ratio`` is taken there, from the |v|^2 of its kept states, and its
-    W2 evaluation queued. A cell keeps its full positions only when the
+    W2 evaluation submitted. A cell keeps its full positions only when the
     target has closed-form moments, for W2, and never its velocities, so a
-    run without W2 holds no (chains, kept, d) array. min(cells,
-    available CPUs) - 1 threads, started before the batch, each evaluate the
-    lowest-numbered cell ready, so evaluations overlap the steps of longer
-    cells (the matching, LAPACK and BLAS release the GIL); the calling thread
-    joins them once the batch ends. With one CPU, or no W2 (no closed-form
-    moments), no thread starts and the calling thread evaluates in cell
-    order after the batch. Each evaluation reads only its own cell's chains
-    and generator, so the rows do not depend on the number of threads. Every
-    thread is joined before this returns or raises: an exception from the
-    batch is raised as is, else the first failing cell's exception, if any.
+    run without W2 holds no (chains, kept, d) array. A pool of min(cells,
+    available CPUs) - 1 threads evaluates the cells in the order they end,
+    overlapping the steps of longer cells (the matching, LAPACK and BLAS
+    release the GIL); after the batch the calling thread evaluates, in cell
+    order, every cell no pool thread has taken. With one CPU, or no W2 (no
+    closed-form moments), there is no pool. Each evaluation reads only its
+    own cell's chains and generator, so the rows do not depend on the number
+    of threads. The pool is shut down before this returns or raises: an
+    exception from the batch is raised as is, and the cells not yet taken
+    are then not evaluated; else the first failing cell's exception, if any.
     Deterministic given the config seed. ``wall_ms`` stays zero unless ``record_timing`` is set,
     keeping the default output byte-stable across reruns; when set, a cell's
     ``wall_ms`` is its own evaluation time, in whichever thread ran it, plus
@@ -421,36 +393,33 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
     target, init = setup.target, setup.init
     summary = target_summary(target) if target.position_cov is not None else None
 
-    cells = list(product(config.methods, config.epsilons))
-    plans = [setup.cell(config, method, epsilon) for method, epsilon in cells]
+    cells = config_cells(config)
+    plans = [setup.cell(config, method, epsilon) for method, epsilon, _ in cells]
     keep = "" if summary is None else "x"  # positions only for W2; vel_ratio reads |v|^2
-    specs = []
-    for cell_index, ((method, epsilon), (delta, n_steps, burn_in, _)) in enumerate(zip(cells, plans)):
-        rngs = tuple(
-            np.random.default_rng(chain_seed(config.seed, cell_index, chain_index))
-            for chain_index in range(config.chains)
+    specs = [
+        Cell(
+            init, setup.chain_config(method), delta, n_steps, rngs, config.thin, burn_in,
+            label=f"{method} eps={epsilon:g}", keep=keep,
         )
-        label = f"{method} eps={epsilon:g}"
-        chain_config = setup.chain_config(method)
-        specs.append(
-            Cell(init, chain_config, delta, n_steps, rngs, config.thin, burn_in, label=label, keep=keep)
-        )
+        for (method, epsilon, rngs), (delta, n_steps, burn_in, _) in zip(cells, plans)
+    ]
     d = target.dim
     total_steps = sum(spec.n_steps * len(spec.rngs) for spec in specs)
     if summary is not None:  # shared by the evaluation threads, so set up on this one
         if not summary.cov.is_diagonal:
             summary.cov.eig  # the target's dense position covariance, decomposed
         import_solvers()
-    vel_ratios, positions = [None] * len(cells), [None] * len(cells)
-    evaluations, errors = [None] * len(cells), [None] * len(cells)
-    ready = queue.PriorityQueue()  # cell indices; -1 and len(cells) stop a thread
+    vel_ratios, positions, futures = [None] * len(cells), [None] * len(cells), [None] * len(cells)
+    workers = 0 if summary is None else min(len(cells), available_cpus()) - 1
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="slmc-evaluate") if workers else None
 
     def hand_over(cell_index: int, run) -> None:
-        """Take a finished cell's velocity ratio and queue its positions, if kept."""
+        """Take a finished cell's velocity ratio and submit its evaluation, if there is a pool."""
         u = specs[cell_index].config.u
         vel_ratios[cell_index] = float(run.speed_sq.mean() / (u * d))
         positions[cell_index] = run.xs
-        ready.put(cell_index)
+        if pool is not None:
+            futures[cell_index] = pool.submit(evaluate, cell_index)
 
     def evaluate(cell_index: int) -> tuple[float, float, float]:
         """W2 to the target by moments and by exact matching, and the milliseconds taken."""
@@ -467,37 +436,23 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
         w2_emp = empirical_w2(SampleCloud.from_points(sub), SampleCloud.from_points(reference))
         return w2_gauss, w2_emp, (time.monotonic() - start) * 1e3
 
-    def drain() -> None:
-        """Evaluate the next ready cell until a stop index comes up."""
-        while 0 <= (cell_index := ready.get()) < len(cells):
-            try:
-                evaluations[cell_index] = evaluate(cell_index)
-            except Exception as exc:
-                errors[cell_index] = exc
-
-    workers = 1 if summary is None else min(len(cells), available_cpus())
-    threads = []
     try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=drain, name="slmc-evaluate")
-            thread.start()
-            threads.append(thread)
         start = time.monotonic()
         run_cells(target, specs, hand_over)
         batch_ms = (time.monotonic() - start) * 1e3
-        for _ in range(workers):  # after every cell, one stop for each thread
-            ready.put(len(cells))
-        drain()
+        for cell_index, future in enumerate(futures):  # the cells no pool thread has taken
+            if future is None or future.cancel():
+                futures[cell_index] = future = Future()
+                try:
+                    future.set_result(evaluate(cell_index))
+                except Exception as exc:
+                    future.set_exception(exc)
     finally:
-        for _ in threads:  # if the batch raised, the threads stop before their next cell
-            ready.put(-1)
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        if pool is not None:  # if the batch raised, the cells not yet taken are not evaluated
+            pool.shutdown(cancel_futures=True)
+    evaluations = [future.result() for future in futures]
     rows = []
-    for (method, epsilon), (delta, n_steps, _, warnings), (w2_gauss, w2_emp, eval_ms), vel_ratio in zip(
+    for (method, epsilon, _), (delta, n_steps, _, warnings), (w2_gauss, w2_emp, eval_ms), vel_ratio in zip(
         cells, plans, evaluations, vel_ratios
     ):
         chain_config = setup.chain_config(method)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .spd import SymMatrix, spd_sqrt
+from .spd import SymMatrix, spd_apply_fn
 
 MAX_CLOUD = 4096
 _PSD_TOL = 1e-10
@@ -110,7 +110,7 @@ def gaussian_w2(a: GaussianSummary, b: GaussianSummary) -> float:
         inner = a.cov.mat * s[:, None]
         inner *= s
     else:
-        root_b = spd_sqrt(b.cov, clip_negative=True).mat
+        root_b = spd_apply_fn(b.cov, lambda w: np.sqrt(np.clip(w, 0.0, None))).mat
         inner = root_b @ a.cov.mat @ root_b
     spectrum = np.linalg.eigvalsh(inner)
     cross = float(np.sqrt(np.clip(spectrum, 0.0, None)).sum())

@@ -153,14 +153,3 @@ def spd_apply_fn(m: SymMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> SymMat
     vectors = m.eig.vectors
     return SymMatrix((vectors * w) @ vectors.T)
 
-
-def spd_sqrt(m: SymMatrix, clip_negative: bool = False) -> SymMatrix:
-    """Principal square root.
-
-    With ``clip_negative`` small negative round-off eigenvalues are
-    clamped to zero instead of producing NaNs, which is the right call
-    for empirical covariance matrices.
-    """
-    if clip_negative:
-        return spd_apply_fn(m, lambda w: np.sqrt(np.clip(w, 0.0, None)))
-    return spd_apply_fn(m, np.sqrt)

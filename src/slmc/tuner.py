@@ -20,6 +20,9 @@ from .errors import InvalidInput, TheoremInapplicable
 from .spd import SymMatrix
 from .targets import TargetModel
 
+#: Probes drawn on each sphere of :func:`default_theta_probes`.
+PROBES_PER_RADIUS = 64
+
 
 @dataclass(frozen=True, eq=False)
 class ThetaEstimate:
@@ -121,7 +124,7 @@ def estimate_theta(
 
 
 def default_theta_probes(
-    target: TargetModel, rng: np.random.Generator, per_radius: int = 64
+    target: TargetModel, rng: np.random.Generator
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Default anchor/probe sets: the minimizer, plus points on spheres around it.
 
@@ -135,7 +138,7 @@ def default_theta_probes(
     if target.hess_constant:
         return candidates, probes
     for radius in (1.0, 2.0, 4.0):
-        z = rng.standard_normal((per_radius, target.dim))
+        z = rng.standard_normal((PROBES_PER_RADIUS, target.dim))
         norms = np.linalg.norm(z, axis=1)
         norms[norms == 0.0] = 1.0
         shell = target.minimizer + (radius * base) * (z / norms[:, None])

@@ -10,7 +10,7 @@ from helpers import make_config, random_spd
 from slmc.errors import InvalidInput, SingularMatrix
 from slmc.metrics import GaussianSummary, SampleCloud, gaussian_w2, moment_summary
 from slmc.sampler import make_step_cache
-from slmc.spd import MAX_DIM, EigenPair, SymMatrix, spd_apply_fn, spd_sqrt
+from slmc.spd import MAX_DIM, EigenPair, SymMatrix, spd_apply_fn
 from slmc.targets import make_gaussian, sample_exact_positions
 
 SORTED_DIAGONALS = pytest.mark.parametrize(
@@ -97,7 +97,7 @@ class TestSymMatrix:
         try:
             m = SymMatrix.diagonal(np.geomspace(1.0, 100.0, MAX_DIM))
             assert m.dim == MAX_DIM and m.is_diagonal
-            assert spd_sqrt(spd_apply_fn(m, lambda w: 1.0 / w)).is_diagonal
+            assert spd_apply_fn(spd_apply_fn(m, lambda w: 1.0 / w), np.sqrt).is_diagonal
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -19,9 +19,19 @@ matching's total alike, so the optimal matching is the plain problem's;
 the matched distances are then recomputed from the points. On one
 thread, on clouds of n = 600, d = 512, the solve took 11% longer without
 the scaling (M = I) and 41% longer without the minima. The Gaussian
-transport map between the clouds' moments, as M, solved no faster at
-n = 1024, d = 2 and about twice as slowly on correlated clouds at
-n = 2048, d = 20.
+transport map between the clouds' moments, as M, solved no faster.
+
+From n = _WARM_FLOOR on, a chain's cloud is reduced once more, coarse to
+fine (after Schmitzer 2016; Gerber & Maggioni 2017): the matching on every
+_COARSE-th row and column is solved exactly, Bellman-Ford on it gives dual
+potentials, and a c-transform carries them onto all n columns, again as row
+and column terms. On one thread at n = 1024, d = 2, cost and solve took
+87-121 ms, not 119-185, for a chain's cloud (rho = 0.99) against iid draws,
+and 62-93, not 140-291, for two chains'; but 123-219, not 69-87, for two iid
+clouds. So it runs only if either cloud's step ratio
+r = sum |x_{i+1} - x_i|^2 / (2 sum |x_i - mean|^2), about 1 for iid points
+and 1 - rho for a chain, is below _CHAIN_RATIO. Below the floor it saves
+little or nothing.
 
 The solver and the other scipy routines are imported on first use, so a
 run that evaluates no W2 never loads scipy.
@@ -40,6 +50,8 @@ MAX_CLOUD = 4096
 _PSD_TOL = 1e-10
 #: Rows per block when matched distances are recomputed.
 _BLOCK = 32
+#: The coarse warm start's least n, subsampling step and chain gate on r.
+_WARM_FLOOR, _COARSE, _CHAIN_RATIO = 256, 4, 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +151,12 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
     The solver's rows are ``b``'s points and its columns ``a``'s (the
     faster way round when ``a`` is a chain's cloud and ``b`` independent
     draws), and its cost matrix is :func:`_reduced_cost`, which has the
-    plain problem's optimal matchings. The matched squared distances are
-    recomputed with ``cdist`` and averaged in ``a``'s order, so the
-    result is the plain solve's bit for bit unless two matchings' totals
-    differ by less than the rounding of the reduced costs (then either
-    is optimal to that rounding).
+    plain problem's optimal matchings, reduced for a chain's cloud by a
+    coarse solve's potentials. The matched squared distances are recomputed
+    with ``cdist`` and averaged in ``a``'s order, so the result is the plain
+    solve's bit for bit unless two matchings' totals differ by less than
+    the rounding of the reduced costs (then either is optimal to that
+    rounding).
     """
     if a.count != b.count:
         raise InvalidInput(f"cloud sizes differ: {a.count} vs {b.count}")
@@ -166,13 +179,18 @@ def empirical_w2(a: SampleCloud, b: SampleCloud) -> float:
 
 def _reduced_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The n x n cost a_i + b_j - 2 x~_i . y~_j of the module docstring,
-    less its column minima and then its row minima.
+    less its column minima and then its row minima; for a chain's cloud at
+    n >= _WARM_FLOOR, then less the coarse potentials and the minima again.
 
     M = diag(sd_y / sd_x) is taken from column variances, with scale 1
     where either is zero, so nothing is decomposed. The result is
     nonnegative, with a zero in every row and every column.
     """
+    n = x.shape[0]
     xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+    chain = n >= _WARM_FLOOR and any(  # r < _CHAIN_RATIO, false for a constant cloud
+        np.linalg.norm(np.diff(c, axis=0)) ** 2 < 2.0 * _CHAIN_RATIO * np.linalg.norm(c) ** 2 for c in (xc, yc)
+    )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.sqrt(np.square(yc).sum(axis=0) / np.square(xc).sum(axis=0))
     scale[~(np.isfinite(scale) & (scale > 0.0))] = 1.0
@@ -183,7 +201,35 @@ def _reduced_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     cost += weights[1]
     cost -= cost.min(axis=0)
     cost -= cost.min(axis=1)[:, None]
+    if chain:  # the sub-problem on every _COARSE-th row and column, each cloud in its own order
+        from scipy.optimize import linear_sum_assignment
+
+        coarse = (np.arange(n // _COARSE) * n) // (n // _COARSE)
+        sub = cost[np.ix_(coarse, coarse)]
+        u = _coarse_potentials(sub, linear_sum_assignment(sub)[1])[0]
+        v = np.full(n, np.inf)
+        for i, u_i in zip(coarse, u):  # the c-transform onto all n columns, with no m x n array
+            np.minimum(v, cost[i] - u_i, out=v)
+        cost -= v
+        cost -= cost.min(axis=1)[:, None]
+        cost -= cost.min(axis=0)
     return cost
+
+
+def _coarse_potentials(cost: np.ndarray, match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Potentials (u, v) with u_i + v_j <= cost_ij, tight on (i, match[i])
+    if that matching is optimal: Bellman-Ford from v = 0 relaxes
+    v_j <- min(v_j, min_i(v_match[i] + cost_ij - cost_i,match[i])) to a fixed
+    point, or for m + 1 rounds should rounding leave a tiny negative cycle;
+    then u_i = min_j(cost_ij - v_j)."""
+    m = cost.shape[0]
+    tight, v, work = cost[np.arange(m), match], np.zeros(m), np.empty_like(cost)
+    for _ in range(m + 1):
+        relaxed = np.minimum(v, np.add(cost, (v[match] - tight)[:, None], out=work).min(axis=0))
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    return np.subtract(cost, v, out=work).min(axis=1), v
 
 
 def moment_summary(cloud: SampleCloud) -> GaussianSummary:

@@ -2,8 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
-from slmc import experiment, sampler
+from slmc import experiment, metrics, sampler
 from slmc.cli import USAGE_EXIT, main
 from slmc.sample_io import read_samples
 from slmc.spd import SymMatrix
@@ -430,4 +432,11 @@ class TestW2:
             ["w2", str(out_a / "samples_scaled.csv"), str(out_b / "samples_scaled.csv")]
         )
         assert code == 0
-        assert float(capsys.readouterr().out.strip()) > 0.0
+        printed = capsys.readouterr().out.strip()
+        assert float(printed) > 0.0
+        # two chains' files from the coarse warm start's floor on: the plain solve's digits
+        xs_a, xs_b = (read_samples(out / "samples_scaled.csv")[0] for out in (out_a, out_b))
+        assert len(xs_a) >= metrics._WARM_FLOOR
+        cost = cdist(xs_a, xs_b, metric="sqeuclidean")
+        rows, cols = linear_sum_assignment(cost)
+        assert printed == f"{np.sqrt(cost[rows, cols].mean()):.9g}"

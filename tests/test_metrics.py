@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -21,9 +22,20 @@ from slmc.metrics import (
     empirical_w2,
     gaussian_w2,
     moment_summary,
+    _coarse_potentials,
     _reduced_cost,
+    _WARM_FLOOR,
 )
 from slmc.spd import SymMatrix, spd_apply_fn
+
+
+def ar1(rng, n, d, rho=0.99):
+    """A chain-like cloud: consecutive points with lag-one correlation rho."""
+    z = np.empty((n, d))
+    z[0] = rng.standard_normal(d)
+    for i in range(1, n):
+        z[i] = rho * z[i - 1] + np.sqrt(1 - rho**2) * rng.standard_normal(d)
+    return z
 
 
 def brute_force_w2(a: np.ndarray, b: np.ndarray) -> float:
@@ -189,21 +201,13 @@ class TestEmpiricalW2:
 
     def test_warm_start_keeps_the_plain_matching(self):
         rng = np.random.default_rng(2024)
-
-        def ar1(n, d):  # a chain-like cloud: strongly correlated consecutive points
-            z = np.empty((n, d))
-            z[0] = rng.standard_normal(d)
-            for i in range(1, n):
-                z[i] = 0.9 * z[i - 1] + np.sqrt(1 - 0.9**2) * rng.standard_normal(d)
-            return z
-
         pairs = {
             "iid": lambda n, d: (rng.standard_normal((n, d)), rng.standard_normal((n, d))),
             "shifted-scaled": lambda n, d: (
                 3.0 + 2.0 * rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d),
                 rng.standard_normal((n, d)),
             ),
-            "ar1": lambda n, d: (ar1(n, d), rng.standard_normal((n, d))),
+            "ar1": lambda n, d: (ar1(rng, n, d, 0.9), rng.standard_normal((n, d))),
         }
         cases = [(kind, n, d) for kind in pairs for d in (1, 2, 3, 10) for n in (2, 50, 300)]
         cases += [("iid", 3, 10), ("iid", 10, 10), ("iid", 1, 1), ("iid", 1, 3)]
@@ -223,6 +227,57 @@ class TestEmpiricalW2:
             a[:, 1] = 0.7
             self._check(a, b)
             self._check(b, a)
+
+    @pytest.mark.parametrize("n", [_WARM_FLOOR, 1024])
+    @pytest.mark.parametrize("d", [2, 20])
+    def test_coarse_warm_start_keeps_the_plain_matching(self, n, d):
+        rng = np.random.default_rng(n + d)
+        chain, iid = ar1(rng, n, d), rng.standard_normal((n, d))
+        self._check(chain, iid)  # a chain's cloud against reference draws, as compare hands it over
+        self._check(iid, chain)
+        self._check(chain, ar1(rng, n, d))  # two chains, as slmc w2 sees them
+        self._check(iid, rng.standard_normal((n, d)))
+
+    def test_coarse_warm_start_on_degenerate_clouds(self):
+        rng = np.random.default_rng(7)
+        n = _WARM_FLOOR
+        same = np.full((n, 2), 1.5)
+        self._check(same, same)
+        chain = ar1(rng, n, 2)
+        self._check(chain, chain)  # coincident clouds: the identity matching, W2 = 0
+        self._check(chain, chain[::-1].copy())
+        self._check(same, ar1(rng, n, 2))
+        self._check(ar1(rng, n, 2), same)
+        twice = np.repeat(ar1(rng, n // 2, 2), 2, axis=0)  # every point duplicated
+        self._check(twice, rng.standard_normal((n, 2)))
+        self._check(twice, np.repeat(ar1(rng, n // 2, 2), 2, axis=0))
+        for d in (3, 40):  # one constant coordinate, in either cloud
+            a, b = ar1(rng, n, d), rng.standard_normal((n, d))
+            a[:, 1] = 0.7
+            self._check(a, b)
+            self._check(b, a)
+
+    def test_coarse_solve_only_for_a_chains_cloud_from_the_floor(self, monkeypatch):
+        solve, shapes = scipy.optimize.linear_sum_assignment, []
+
+        def counting(cost):
+            shapes.append(cost.shape)
+            return solve(cost)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+        rng = np.random.default_rng(12)
+        for n in (_WARM_FLOOR - 1, _WARM_FLOOR, 1024):
+            chain, iid = ar1(rng, n, 2), rng.standard_normal((n, 2))
+            coarse = [(n // 4, n // 4)] if n >= _WARM_FLOOR else []
+            for a, b, expected in (
+                (chain, iid, coarse + [(n, n)]),
+                (iid, chain, coarse + [(n, n)]),
+                (chain, ar1(rng, n, 2), coarse + [(n, n)]),
+                (iid, rng.standard_normal((n, 2)), [(n, n)]),
+            ):
+                shapes.clear()
+                empirical_w2(SampleCloud.from_points(a), SampleCloud.from_points(b))
+                assert shapes == expected
 
     @staticmethod
     def _check(a, b, rel=0.0):
@@ -266,6 +321,65 @@ class TestEmpiricalW2:
             warnings.simplefilter("error")
             for a, b in cases:
                 self._check(a, b)
+
+
+class TestCoarsePotentials:
+    @staticmethod
+    def relax(cost, match, v):
+        """One Bellman-Ford round of _coarse_potentials."""
+        tight = cost[np.arange(len(match)), match]
+        return np.minimum(v, (cost + (v[match] - tight)[:, None]).min(axis=0))
+
+    @pytest.mark.parametrize("kind", ["random", "grid"])
+    def test_a_dual_certificate_of_the_optimal_matching(self, kind):
+        rng = np.random.default_rng(3 if kind == "random" else 4)
+        for m in (1, 2, 5, 64, 256):
+            if kind == "random":
+                cost = _reduced_cost(rng.standard_normal((m, 2)), ar1(rng, m, 2))
+            else:  # integer costs with many ties: many optimal matchings
+                grid = lambda: rng.integers(0, 4, (m, 2)).astype(float)
+                cost = cdist(grid(), grid(), metric="sqeuclidean")
+            match = linear_sum_assignment(cost)[1]
+            u, v = _coarse_potentials(cost, match)
+            tol = 1e-12 * max(1.0, cost.max())
+            assert np.all(u[:, None] + v <= cost + tol)
+            assert np.abs(u + v[match] - cost[np.arange(m), match]).max() <= tol
+            # the loop stopped at a fixed point, not at the round cap
+            assert np.array_equal(self.relax(cost, match, v), v)
+
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_the_reduced_cost_is_zero_on_the_coarse_matching(self, chains, monkeypatch):
+        # exact coarse potentials, carried over, make every coarse row's
+        # matched coarse column a zero of the reduced cost
+        rng = np.random.default_rng(9 + chains)
+        n = 1024
+        y = ar1(rng, n, 2)
+        x = ar1(rng, n, 2) if chains == 2 else rng.standard_normal((n, 2))
+        reduced = _reduced_cost(x, y)
+        monkeypatch.setattr(slmc.metrics, "_WARM_FLOOR", n + 1)
+        coarse = (np.arange(n // 4) * n) // (n // 4)
+        match = linear_sum_assignment(_reduced_cost(x, y)[np.ix_(coarse, coarse)])[1]
+        assert np.abs(reduced[coarse, coarse[match]]).max() <= 1e-9 * reduced.max()
+
+    def test_stops_at_the_first_round_that_changes_nothing(self, monkeypatch):
+        array_equal, rounds = np.array_equal, []
+        monkeypatch.setattr(np, "array_equal", lambda p, q: (rounds.append(1), array_equal(p, q))[1])
+        m = 6
+        cost = 1.0 - np.eye(m)  # the identity is optimal, and v = 0 already a fixed point
+        u, v = _coarse_potentials(cost, np.arange(m))
+        assert len(rounds) == 1
+        assert np.array_equal(u, np.zeros(m)) and np.array_equal(v, np.zeros(m))
+
+    def test_a_negative_cycle_stops_at_the_round_cap(self):
+        # the cyclic shift is not optimal on 1 - I: its residual graph has a
+        # negative cycle, which lowers every v by 1 a round, for m + 1 rounds
+        m = 6
+        cost = 1.0 - np.eye(m)
+        match = np.roll(np.arange(m), -1)
+        u, v = _coarse_potentials(cost, match)
+        assert np.array_equal(v, np.full(m, -(m + 1.0)))
+        assert np.all(u[:, None] + v <= cost)  # still feasible, but not tight on the matching
+        assert np.all(u + v[match] < cost[np.arange(m), match])
 
 
 class TestMomentSummary:

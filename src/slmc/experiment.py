@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -37,10 +37,6 @@ from .tuner import (
 )
 
 METHODS = ("scaled", "unscaled")
-CSV_HEADER = (
-    "target,method,kappa,kappa_hat,theta,epsilon,delta,n,"
-    "grad_calls,w2_gauss,w2_empirical,vel_ratio,wall_ms"
-)
 #: Cap on the cloud size fed to the exact-matching W2 estimator.
 EMPIRICAL_W2_CAP = 1024
 #: Chain slot reserved for a cell's evaluation draws.
@@ -95,6 +91,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One results.csv row: each field but ``warnings`` is a column, in this order."""
+
     target: str
     method: str
     kappa: float
@@ -111,6 +109,11 @@ class ResultRow:
     warnings: tuple[str, ...] = ()
 
 
+#: The results.csv columns: :class:`ResultRow`'s fields but ``warnings``, in order.
+_COLUMNS = tuple(f for f in fields(ResultRow) if f.name != "warnings")
+CSV_HEADER = ",".join(f.name for f in _COLUMNS)
+
+
 # ---------------------------------------------------------------------------
 # Config parsing.
 
@@ -120,6 +123,12 @@ def _floats(value: str) -> tuple[float, ...]:
         return tuple(float(tok) for tok in value.split(",") if tok.strip())
     except ValueError as exc:
         raise ValueError(f"expected a comma-separated number list: {exc}") from exc
+
+
+def _name(value: str) -> str:
+    if "," in value or '"' in value:  # either would split or quote a results.csv cell
+        raise ValueError(f"a target name holds no ',' or '\"', got {value!r}")
+    return value
 
 
 def _methods(value: str) -> tuple[str, ...]:
@@ -144,7 +153,7 @@ class ConfigKey(NamedTuple):
 #: :class:`TargetSpecification`, the others :class:`ExperimentConfig`.
 CONFIG_KEYS = {
     ("target", "kind"): ConfigKey("kind", str.lower),
-    ("target", "name"): ConfigKey("name", str),
+    ("target", "name"): ConfigKey("name", _name),
     ("target", "dim"): ConfigKey("dim", int),
     ("target", "precision_diag"): ConfigKey("precision_diag", _floats),
     ("target", "mean"): ConfigKey("mean", _floats),
@@ -172,10 +181,11 @@ def parse_config(text: str) -> ExperimentConfig:
     and the field each fills. Number lists and ``methods`` are comma-separated.
     ``[target] kind`` is required: ``gaussian`` needs ``precision_diag``, whose
     length ``dim`` and ``mean`` must match, and ``logistic`` needs ``dataset``
-    and ``ridge``. ``[run]`` needs ``methods`` and ``epsilons``; ``delta`` and
-    ``n_steps``, which override the plan, come together. A key left out takes
-    its field's default: seed 0, 4 chains, thin 1, out ``.``, and burn-in half
-    the run. A ``ConfigError`` names the first line at fault, if one is.
+    and ``ridge``; a ``name`` holds no ``,`` or ``"``, being a results.csv cell.
+    ``[run]`` needs ``methods`` and ``epsilons``; ``delta`` and ``n_steps``, which
+    override the plan, come together. A key left out takes its field's default:
+    seed 0, 4 chains, thin 1, out ``.``, and burn-in half the run. A
+    ``ConfigError`` names the first line at fault, if one is.
     """
     found: dict[str, dict] = {section: {} for section, _ in CONFIG_KEYS}
     lines: dict[str, int] = {}
@@ -405,9 +415,7 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
     ]
     d = target.dim
     total_steps = sum(spec.n_steps * len(spec.rngs) for spec in specs)
-    if summary is not None:  # shared by the evaluation threads, so set up on this one
-        if not summary.cov.is_diagonal:
-            summary.cov.eig  # the target's dense position covariance, decomposed
+    if summary is not None:  # shared by the evaluation threads, so imported on this one
         import_solvers()
     vel_ratios, positions, futures = [None] * len(cells), [None] * len(cells), [None] * len(cells)
     workers = 0 if summary is None else min(len(cells), available_cpus()) - 1
@@ -482,29 +490,11 @@ def emit_csv(rows: list[ResultRow], path) -> None:
     """Write result rows with the fixed header, 9-significant-digit floats, LF endings."""
     if not rows:
         raise InvalidInput("refusing to write an empty result CSV")
-
-    def fmt(value: float) -> str:
-        return f"{value:.9g}"
-
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in rows:
-            cells = [
-                row.target,
-                row.method,
-                fmt(row.kappa),
-                fmt(row.kappa_hat),
-                fmt(row.theta),
-                fmt(row.epsilon),
-                fmt(row.delta),
-                str(row.n),
-                str(row.grad_calls),
-                fmt(row.w2_gauss),
-                fmt(row.w2_empirical),
-                fmt(row.vel_ratio),
-                fmt(row.wall_ms),
-            ]
-            fh.write(",".join(cells) + "\n")
+            cells = ((f.type, getattr(row, f.name)) for f in _COLUMNS)
+            fh.write(",".join(f"{v:.9g}" if t == "float" else str(v) for t, v in cells) + "\n")
 
 
 def trace_w2(

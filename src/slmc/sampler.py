@@ -37,7 +37,7 @@ updates every row at once on contiguous memory. A step makes one gradient
 call on the positions of every row still running and one update; the
 blow-up guard checks each block once, at its end, in the batch's
 coordinates. Cells are ordered by descending n, so the rows still running
-are always one contiguous range, and a cell's rows leave it after its last
+are always a prefix, laid out once, and a cell's rows leave it after its last
 step, when ``run_cells`` can hand the cell over. Of each kept state a cell
 stores |v|^2, and its full position and velocity only where its ``keep``
 names them. ``run_chain``, ``step`` and ``coupled_pair_run`` are batches of
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -175,7 +174,6 @@ class StepCache:
     """
 
     config: ScalingConfig
-    delta: float
     dim: int
     vectors: np.ndarray | None
     mean_w: np.ndarray
@@ -233,7 +231,6 @@ def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
         )
     return StepCache(
         config=config,
-        delta=delta,
         dim=mean_w.shape[-1],
         vectors=None if config.A.is_diagonal else config.A.eig.vectors,
         mean_w=mean_w,
@@ -254,68 +251,24 @@ def _checked_cache(inits, target: TargetModel, config: ScalingConfig, delta: flo
     return cache
 
 
-class _Rows(NamedTuple):
-    """Per-row step coefficients of a batch of R rows: ``mean`` (2, 2, R, d) holds
-    (mean_w, mean_g) and ``factor`` (2, 2, R, d) the factor, as in ``StepCache``
-    with a row axis before the modes, so that each (R, d) plane is contiguous. Each
-    (lo, hi, vectors) of ``turns`` names rows lo..hi-1 of a multiple of I beside a
-    dense A, whose noise, drawn in x, turns into the batch's y = x ``vectors``.
-    ``labels`` names each row's cell."""
-
-    mean: np.ndarray
-    factor: np.ndarray
-    turns: tuple
-    labels: tuple
-
-
-def _batch_rows(parts, vectors: np.ndarray | None) -> _Rows:
-    """The rows of ``parts``, (cache, rows, label) triples, in y = x ``vectors`` (x if None)."""
-    caches, counts = [cache for cache, _, _ in parts], [n for _, n, _ in parts]
-    firsts = [sum(counts[:i]) for i in range(len(counts))]
-
-    def rows(arrays):  # (2, 2, d) per cache -> (2, 2, R, d)
-        return np.repeat(np.stack(arrays, axis=2), counts, axis=2)
-
-    turned = [(a, a + n, vectors) for a, n, c in zip(firsts, counts, caches) if c.vectors is None]
-    return _Rows(
-        rows([np.stack((c.mean_w, c.mean_g)) for c in caches]),
-        rows([c.factor for c in caches]),
-        () if vectors is None else tuple(turned),
-        tuple(label for _, n, label in parts for _ in range(n)),
-    )
-
-
-def _noise_blocks(rows: _Rows, rngs, n_steps: int):
-    """Yield the correlated (y; w) noise of n_steps steps in blocks (K, 2, len(rngs), d),
-    in the batch's coordinates, row r drawn from ``rngs[r]`` (see the module
-    docstring). Each block is written into the buffer of the one before it, so use
-    a block before drawing the next."""
-    r, d = len(rngs), rows.factor.shape[-1]
-    block = max(1, min(n_steps, NOISE_BLOCK_DOUBLES // (r * 2 * d)))
-    raw, noise = np.empty((r, block, 2, d)), np.empty((block, 2, r, d))
-    l_yy, l_wy, l_ww = rows.factor[0, 0, :r], rows.factor[1, 0, :r], rows.factor[1, 1, :r]
-    for start in range(0, n_steps, block):
-        k = min(block, n_steps - start)
-        for z, rng in zip(raw, rngs):
-            rng.standard_normal(out=z[:k])
-        z, out = raw[:, :k].transpose(1, 2, 0, 3), noise[:k]  # both (k, 2, r, d)
-        np.multiply(l_yy, z[:, 0], out=out[:, 0])  # l_yw = 0
-        np.multiply(l_wy, z[:, 0], out=out[:, 1])
-        out[:, 1] += np.multiply(l_ww, z[:, 1], out=z[:, 1])
-        for lo, hi, vectors in rows.turns:
-            out[..., lo:hi, :] = out[..., lo:hi, :] @ vectors
-        yield out
-
-
 class _Batch:
-    """Rows that step together, from ``parts`` (as for ``_batch_rows``) and their
-    states xv (2, R, d) in x. With a dense A they step in y = x V for its eigenvectors
-    V (``vectors``), where every other A must be diagonal too: the same V, or a
-    multiple of I; else in x. ``rows``, ``xv`` and ``grad`` are in those coordinates."""
+    """Rows that step together: ``parts``, (cache, rows, label) triples in descending
+    n, and their states xv (2, R, d) in x. With a dense A they step in y = x V for its
+    eigenvectors V (``vectors``), where every other A must be diagonal too: the same
+    V, or a multiple of I; else in x. ``xv`` and ``grad`` are in those coordinates.
+    The per-row layout is built once, for all R rows: ``mean`` (2, 2, R, d) holds
+    (mean_w, mean_g) and ``factor`` (2, 2, R, d) the factor, as in ``StepCache``
+    with a row axis before the modes, so that each (R, d) plane is contiguous;
+    ``labels`` names each row's cell, and each (lo, hi) of ``turns`` names rows
+    lo..hi-1 of a multiple of I beside a dense A, whose noise, drawn in x, turns
+    into y. The rows still running are a prefix: a caller cuts ``xv`` to its
+    leading rows, whole cells at a time, and a step reads the leading len(xv) rows
+    of each plane."""
 
     def __init__(self, target: TargetModel, parts, xv: np.ndarray):
-        vs = [c.vectors for c, _, _ in parts if c.vectors is not None]
-        diags = [c.config.A.diag for c, _, _ in parts if c.vectors is None]
+        caches, counts = [c for c, _, _ in parts], [n for _, n, _ in parts]
+        vs = [c.vectors for c in caches if c.vectors is not None]
+        diags = [c.config.A.diag for c in caches if c.vectors is None]
         if vs and (any(a.min() < a.max() for a in diags) or any((v != vs[0]).any() for v in vs)):
             raise InvalidInput("a batch with a dense A holds only A's of its V or multiples of I")
         self.vectors, self.grad, self.back = None, target.grad_oracle, lambda a: a
@@ -323,18 +276,44 @@ class _Batch:
             v, vt = vs[0], np.ascontiguousarray(vs[0].T)
             self.vectors, self.grad, xv = v, target.grad_in_frame(v), xv @ v
             self.back = lambda a: (a.reshape(-1, a.shape[-1]) @ vt).reshape(a.shape)
-        self.rows, self.xv = _batch_rows(parts, self.vectors), xv
+        self.xv = xv
 
-    def narrow(self, lo: int, hi: int, parts) -> None:
-        """Keep rows lo..hi-1, which step on as ``parts``, a subset of the batch's."""
-        self.rows, self.xv = _batch_rows(parts, self.vectors), self.xv[:, lo:hi]
+        def rows(arrays):  # (2, 2, d) per cache -> (2, 2, R, d)
+            return np.repeat(np.stack(arrays, axis=2), counts, axis=2)
+
+        self.mean = rows([np.stack((c.mean_w, c.mean_g)) for c in caches])
+        self.factor = rows([c.factor for c in caches])
+        bounds = np.cumsum([0] + counts).tolist()
+        self.turns = [(a, b) for a, b, c in zip(bounds, bounds[1:], caches) if vs and c.vectors is None]
+        self.labels = tuple(label for _, n, label in parts for _ in range(n))
+
+    def noise(self, rngs, n_steps: int):
+        """Yield the correlated (y; w) noise of n_steps steps in blocks (K, 2, len(rngs), d),
+        in the batch's coordinates, row r drawn from ``rngs[r]`` (see the module
+        docstring). Each block is written into the buffer of the one before it, so use
+        a block before drawing the next."""
+        r, d = len(rngs), self.factor.shape[-1]
+        block = max(1, min(n_steps, NOISE_BLOCK_DOUBLES // (r * 2 * d)))
+        raw, noise = np.empty((r, block, 2, d)), np.empty((block, 2, r, d))
+        l_yy, l_wy, l_ww = self.factor[0, 0, :r], self.factor[1, 0, :r], self.factor[1, 1, :r]
+        for start in range(0, n_steps, block):
+            k = min(block, n_steps - start)
+            for z, rng in zip(raw, rngs):
+                rng.standard_normal(out=z[:k])
+            z, out = raw[:, :k].transpose(1, 2, 0, 3), noise[:k]  # both (k, 2, r, d)
+            np.multiply(l_yy, z[:, 0], out=out[:, 0])  # l_yw = 0
+            np.multiply(l_wy, z[:, 0], out=out[:, 1])
+            out[:, 1] += np.multiply(l_ww, z[:, 1], out=z[:, 1])
+            for lo, hi in self.turns:  # a range past the leading r rows is empty
+                out[..., lo:hi, :] = out[..., lo:hi, :] @ self.vectors
+            yield out
 
     def walk(self, rngs, n_steps: int, first: int | None):
         """Take n_steps steps, the first numbered ``first`` (None: one unnumbered
         step), with noise from ``rngs``. Yield each noise block's positions and
         velocities (K, 2, R, d) in x; the next block may write over them."""
         path = None
-        for noise in _noise_blocks(self.rows, rngs, n_steps):
+        for noise in self.noise(rngs, n_steps):
             k = len(noise)
             if path is None:  # the first block is the longest
                 path = np.empty((k + 1,) + self.xv.shape)
@@ -351,8 +330,7 @@ class _Batch:
         the first such step and its first such row's cell. Numpy reports no
         overflow or invalid operation in the block, the oracle's included: steps
         after a trip run on through inf and NaN, and the guard reports the trip."""
-        rows = self.rows
-        mean_w, mean_g = rows.mean
+        mean_w, mean_g = self.mean[:, :, : path.shape[2]]
         tmp = np.empty_like(path[0])
         grads = []  # each step's gradients, to name a trip's cause
         with np.errstate(over="ignore", invalid="ignore"):
@@ -375,7 +353,7 @@ class _Batch:
             what = "chain coordinate left the guarded region"
         else:
             what = "gradient oracle returned non-finite values"
-        raise NumericalBlowup(what, None if first is None else first + int(t), rows.labels[bad])
+        raise NumericalBlowup(what, None if first is None else first + int(t), self.labels[bad])
 
 
 def step(
@@ -468,25 +446,20 @@ def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
     xs = [np.empty(q.shape + (d,)) if "x" in cell.keep else None for cell, q in zip(cells, sq)]
     vs = [np.empty(q.shape + (d,)) if "v" in cell.keep else None for cell, q in zip(cells, sq)]
     runs = [None] * len(cells)
-    batch, done, at = None, 0, 0  # rows still stepping; steps taken; batch row of their row 0
-    # The rows still running form one range [lo, hi), which shrinks at each cell's end.
+    batch = _Batch(target, [(caches[c], len(cells[c].rngs), cells[c].label) for c in order], xv)
+    rngs, done = [rng for c in order for rng in cells[c].rngs], 0
+    # The rows still running are rows 0..hi-1, and hi shrinks at each cell's end.
     for end in sorted({cell.n_steps for cell in cells}):
         live = [c for c in order if cells[c].n_steps >= end]
-        lo, hi = span[live[0]][0], span[live[-1]][1]
-        parts = [(caches[c], len(cells[c].rngs), cells[c].label) for c in live]
-        if batch is None:
-            batch = _Batch(target, parts, xv)
-        else:
-            batch.narrow(lo - at, hi - at, parts)
-        at = lo
-        rngs = [rng for c in live for rng in cells[c].rngs]
-        for path in batch.walk(rngs, end - done, done + 1):
+        hi = span[live[-1]][1]
+        batch.xv = batch.xv[:, :hi]
+        for path in batch.walk(rngs[:hi], end - done, done + 1):
             k = len(path)
             for c in live:
                 cell, (a, b) = cells[c], span[c]
                 j = max(0, (done - cell.burn_in) // cell.thin)  # states kept before this block
                 first = cell.burn_in + cell.thin * (j + 1) - done - 1  # its index in the block
-                x, v = path[first : k : cell.thin, :, a - lo : b - lo].transpose(1, 2, 0, 3)
+                x, v = path[first : k : cell.thin, :, a:b].transpose(1, 2, 0, 3)
                 kept = slice(j, j + x.shape[1])
                 sq[c][:, kept] = (v**2).sum(axis=-1)
                 for store, states in ((xs[c], x), (vs[c], v)):
@@ -495,7 +468,7 @@ def run_cells(target: TargetModel, cells, on_cell=None) -> list[CellRun]:
             done += k
         for c, cell in enumerate(cells):
             if cell.n_steps == end:
-                a, b = span[c][0] - lo, span[c][1] - lo
+                a, b = span[c]
                 final = path[-1, :, a:b].swapaxes(0, 1).copy()  # the last states, in x
                 runs[c] = CellRun(xs[c], vs[c], sq[c], steps[c], final, cell.n_steps)
                 if on_cell is not None:

@@ -60,7 +60,6 @@ class PlanOutput:
 
     delta: float
     n_steps: int
-    epsilon: float
     applicable: bool
     warnings: list[str] = field(default_factory=list)
 
@@ -234,7 +233,6 @@ def plan_scaled(
     return PlanOutput(
         delta=delta,
         n_steps=_steps_from_bound(n_real),
-        epsilon=epsilon,
         applicable=not notes,
         warnings=notes,
     )
@@ -299,7 +297,6 @@ def plan_unscaled(
     return PlanOutput(
         delta=delta,
         n_steps=_steps_from_bound(n_real),
-        epsilon=epsilon,
         applicable=not notes,
         warnings=notes,
     )

@@ -6,7 +6,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from slmc import experiment, metrics, sampler
-from slmc.cli import USAGE_EXIT, main
+from slmc.cli import NUMERICAL_EXIT, USAGE_EXIT, main
 from slmc.sample_io import read_samples
 from slmc.spd import SymMatrix
 
@@ -171,6 +171,26 @@ class TestTuneAndPlan:
         assert "n=3334" in out
         expected = plan_unscaled(0.5, 4.0, 2, 1.0, 0.0).n_steps
         assert f"n={expected}" in out
+
+    def test_plan_stdout_pinned(self, config_path, capsys):
+        assert main(["plan", "--config", str(config_path)]) == 0
+        assert capsys.readouterr().out == (
+            "epsilon=0.5 scaled:   delta=0.000727886711 n=3334 applicable=True\n"
+            "epsilon=0.5 unscaled: delta=0.000849887958 n=10743 applicable=True\n"
+        )
+
+    def test_plan_past_theta_one_half_is_a_numerical_failure(self, tmp_path, capsys):
+        # the dataset of test_logistic_results_bytes_pinned, whose theta is 1.21
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((60, 3))
+        data = np.column_stack([features, np.where(rng.standard_normal(60) > 0, 1.0, -1.0)])
+        np.savetxt(tmp_path / "data.csv", data, delimiter=",", fmt="%.17g")
+        config_path = tmp_path / "logistic.cfg"
+        config_path.write_text(LOGISTIC_CONFIG.format(dataset=tmp_path / "data.csv"))
+        with pytest.warns(RuntimeWarning, match="theta = 1.21 exceeds 1/2"):
+            assert main(["plan", "--config", str(config_path)]) == NUMERICAL_EXIT
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["slmc: numerical failure: theta = 1.21 >= 1/2: no step-size guarantee exists"]
 
 
 class TestSample:
@@ -372,6 +392,17 @@ class TestCompare:
         with pytest.warns(RuntimeWarning, match="theta = 1.21 exceeds 1/2"):
             assert main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "results.csv").read_bytes() == PINNED_LOGISTIC_RESULTS
+
+    def test_blowup_is_a_numerical_failure(self, tmp_path, capsys):
+        config_path = tmp_path / "blowup.cfg"
+        config_path.write_text(CONFIG.replace("delta = 0.05", "delta = 20"))
+        out_dir = tmp_path / "out"
+        assert main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == NUMERICAL_EXIT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "slmc: numerical failure: chain coordinate left the guarded region"
+            " in cell 'scaled eps=0.5' (step 10)"
+        ]
 
 
 class TestValidateKernel:

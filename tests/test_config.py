@@ -231,6 +231,17 @@ ONE_ERROR = {
     ),
     "key-outside-section": ("kind = gaussian\n" + MINIMAL, "line 1: key outside of any [section]", 1),
     "line-without-equals": (MINIMAL + "chains 4\n", "line 9: expected `key = value`, got 'chains 4'", 9),
+    # a target name is a results.csv cell: a comma would add a column, a quote open one
+    "name-with-comma": (
+        MINIMAL.replace("kind = gaussian", "kind = gaussian\nname = my,target"),
+        "line 4: a target name holds no ',' or '\"', got 'my,target'",
+        4,
+    ),
+    "name-with-quote": (
+        MINIMAL.replace("kind = gaussian", 'kind = gaussian\nname = my"target'),
+        "line 4: a target name holds no ',' or '\"', got 'my\"target'",
+        4,
+    ),
 }
 
 

@@ -16,7 +16,7 @@ from . import experiment, sample_io
 from .errors import ConfigError, InvalidInput, SamplingError
 from .metrics import SampleCloud, empirical_w2
 from .oracle import run_kernel_validation
-from .sampler import run_chain
+from .sampler import exact_law, run_chain
 
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
@@ -90,31 +90,24 @@ def _cmd_sample(args) -> int:
     delta, n_steps, burn_in, warnings = setup.cell(config, method, config.epsilons[0])
     _print_warnings(method, config.epsilons[0], warnings)
 
-    every = args.trace_every or max(1, n_steps // 100)
-    if args.trace and (n_steps // every) * every < 3:
-        # a point needs a window of >= 2 states, xs[stop // 2 : stop], so a stop >= 3
-        raise ConfigError(
-            f"--trace-every {every} with n = {n_steps} steps logs no step from 3 on: "
-            "the trace would be empty"
-        )
-
-    # chain 0 of the method's first cell, as in compare
-    rng = next(rngs[0] for cell_method, _, rngs in experiment.config_cells(config) if cell_method == method)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.trace:
-        if target.position_cov is None:
-            raise ConfigError("--trace needs a target with closed-form moments")
-        points = experiment.trace_w2(init, target, chain_config, delta, n_steps, rng, every)
+    if args.trace:  # the law after every `every` steps and after n, from the kernel's maps
+        every = args.trace_every or max(1, n_steps // 100)
+        stops = [*range(every, n_steps, every), n_steps]
+        mean, cov = exact_law(target, init, chain_config, delta, stops)
+        sd = np.sqrt(target.position_cov.diag)  # law(x_n) and pi are diagonal: W2 sums over modes
+        w2 = np.sqrt((mean[..., 0] ** 2 + (np.sqrt(cov[..., 0, 0]) - sd) ** 2).sum(axis=-1))
+        out_dir.mkdir(parents=True, exist_ok=True)
         trace_path = out_dir / f"trace_{method}.csv"
-        with open(trace_path, "w", newline="\n") as fh:
-            fh.write("step,time,w2_gauss\n")
-            for step_index, value in points:
-                fh.write(f"{step_index},{step_index * delta:.9g},{value:.9g}\n")
+        table = np.column_stack([stops, np.multiply(stops, delta), w2])
+        np.savetxt(trace_path, table, fmt=("%d", "%.9g", "%.9g"), delimiter=",",
+                   header="step,time,w2_exact", comments="")
         print(f"wrote {trace_path}")
         return 0
 
+    # chain 0 of the method's first cell, as in compare
+    rng = next(rngs[0] for cell_method, _, rngs in experiment.config_cells(config) if cell_method == method)
+    out_dir.mkdir(parents=True, exist_ok=True)
     run = run_chain(
         init, target, chain_config, delta, n_steps, rng, thin=config.thin, burn_in=burn_in
     )
@@ -193,14 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
             "sample",
             help="run one chain and write samples",
             description="Run one chain of the first epsilon's cell and write its states. "
-            "As in compare, burn-in defaults to min(n // 2, n - 1) steps.",
+            "As in compare, burn-in defaults to min(n // 2, n - 1) steps. With --trace, "
+            "run no chain: write the exact W2 of law(x_n) to the target at every "
+            "--trace-every steps and at n (Gaussian targets only).",
         )
     )
     p_sample.add_argument("--method", choices=experiment.METHODS, default=None)
     output = p_sample.add_mutually_exclusive_group()
     output.add_argument("--format", choices=("csv", "bin"), default=None, help="default csv")
-    output.add_argument("--trace", action="store_true", help="log a W2 convergence curve")
-    p_sample.add_argument("--trace-every", type=count, default=None, help="needs --trace")
+    output.add_argument("--trace", action="store_true", help="write the exact W2 of law(x_n) to the target")
+    p_sample.add_argument("--trace-every", type=count, default=None, help="needs --trace; default n // 100")
 
     def check_sample(args):  # what argparse cannot say: one option needing another
         if args.trace_every is not None and not args.trace:

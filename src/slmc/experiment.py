@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput, TheoremInapplicable
 from .metrics import GaussianSummary, SampleCloud, empirical_w2, gaussian_w2, import_solvers, moment_summary
-from .sampler import Cell, run_cells, run_chain
+from .sampler import Cell, run_cells, run_chain  # run_chain is unused here: bench/tracing.py wraps it here
 from .spd import SymMatrix
 from .targets import InitSpec, TargetModel, load_logistic_csv, make_gaussian, make_logistic_ridge, sample_exact_positions
 from .tuner import (
@@ -178,7 +178,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     The text is ``[section]`` headers, each followed by ``key = value`` lines;
     ``#`` starts a comment. :data:`CONFIG_KEYS` names every section and key
-    and the field each fills. Number lists and ``methods`` are comma-separated.
+    and the field each fills. Number lists and ``methods`` are comma-separated,
+    and every number must be finite.
     ``[target] kind`` is required: ``gaussian`` needs ``precision_diag``, whose
     length ``dim`` and ``mean`` must match, and ``logistic`` needs ``dataset``
     and ``ridge``; a ``name`` holds no ``,`` or ``"``, being a results.csv cell.
@@ -214,7 +215,10 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:  # int and float get a message here, the other parsers word their own
             what = {int: "an integer", float: "a number"}.get(row.parse)
             raise ConfigError(f"expected {what}, got {value!r}" if what else str(exc), lineno) from exc
-        if row.above is not None and any(v <= row.above for v in np.atleast_1d(parsed)):
+        values = np.atleast_1d(parsed)
+        if values.dtype.kind == "f" and not np.isfinite(values).all():  # NaN would pass `above`
+            raise ConfigError(f"expected finite numbers, got {value!r}", lineno)
+        if row.above is not None and any(v <= row.above for v in values):
             raise ConfigError(row.message, lineno)
         found[section][row.field], lines[row.field] = parsed, lineno
 
@@ -257,12 +261,6 @@ def build_target(spec: TargetSpecification) -> TargetModel:
 
 # ---------------------------------------------------------------------------
 # Running cells.
-
-
-def target_summary(target: TargetModel) -> GaussianSummary:
-    if target.position_cov is None:
-        raise InvalidInput(f"target {target.name!r} has no closed-form moments")
-    return GaussianSummary(mean=target.minimizer, cov=target.position_cov)
 
 
 def _even_subsample(points: np.ndarray, cap: int) -> np.ndarray:
@@ -401,7 +399,7 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
     """
     setup = prepare_run(config)
     target, init = setup.target, setup.init
-    summary = target_summary(target) if target.position_cov is not None else None
+    summary = None if target.position_cov is None else GaussianSummary(target.minimizer, target.position_cov)
 
     cells = config_cells(config)
     plans = [setup.cell(config, method, epsilon) for method, epsilon, _ in cells]
@@ -496,25 +494,3 @@ def emit_csv(rows: list[ResultRow], path) -> None:
             cells = ((f.type, getattr(row, f.name)) for f in _COLUMNS)
             fh.write(",".join(f"{v:.9g}" if t == "float" else str(v) for t, v in cells) + "\n")
 
-
-def trace_w2(
-    init: InitSpec,
-    target: TargetModel,
-    config: ScalingConfig,
-    delta: float,
-    n_steps: int,
-    rng: np.random.Generator,
-    every: int,
-) -> list[tuple[int, float]]:
-    """Convergence curve support: W2-to-target of the trailing half of the
-    trajectory, logged every ``every`` steps. Closed-form targets only."""
-    summary = target_summary(target)
-    run = run_chain(init, target, config, delta, n_steps, rng)
-    points = []
-    for stop in range(every, n_steps + 1, every):
-        window = run.xs[0, stop // 2 : stop]
-        if window.shape[0] < 2:
-            continue
-        est = moment_summary(SampleCloud.from_points(window))
-        points.append((stop, gaussian_w2(est, summary)))
-    return points

@@ -48,6 +48,13 @@ NOISE_BLOCK_DOUBLES, and blocks are cut at every cell's end. A chain's
 states therefore depend neither on K nor on the other rows of its batch,
 except through the gradient oracle's arithmetic on a batch of rows and, for
 a multiple of I beside a dense A, the rounding of the change of variables.
+
+On a Gaussian f = (x - mu)^T P (x - mu) / 2 with P and A both diagonal, mode i
+is coordinate i and h_i = p_i (y_i - mu_i), so a step maps (e, w), e = y - mu, to
+M (e, w) + N(0, Sigma): M = [[1 - m_gy p, m_wy], [-m_gw p, m_ww]], m_.. being
+the weights of w and h in mean_y and mean_w above, and Sigma the mode's cov
+(``mode_maps``). ``exact_law`` composes these maps by binary doubling into the
+law after any n steps, Gaussian with independent modes, running no chain.
 """
 
 from __future__ import annotations
@@ -237,6 +244,38 @@ def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
         mean_g=mean_g,
         factor=factor,
     )
+
+
+def mode_maps(config: ScalingConfig, delta: float, curvature) -> tuple[np.ndarray, np.ndarray]:
+    """One step's (d, 2, 2) maps M and covariances Sigma of the modes of a Gaussian
+    whose precision is ``curvature`` on A's modes (see the module docstring)."""
+    (m_wy, m_ww), (m_gy, m_gw), (c_yy, c_yw, c_ww) = _modes(config, delta)
+    maps = np.stack([[1.0 - m_gy * curvature, m_wy], [-m_gw * curvature, m_ww]])
+    return maps.transpose(2, 0, 1), np.stack([[c_yy, c_yw], [c_yw, c_ww]]).transpose(2, 0, 1)
+
+
+def exact_law(target: TargetModel, init: InitSpec, config: ScalingConfig, delta: float, steps):
+    """Each mode's mean (k, d, 2) and covariance (k, d, 2, 2) of (x_n - mu, v_n) of a chain
+    from (x0, 0), at each count n of the ascending ``steps``, with no chain run. Raises
+    ``InvalidInput`` unless P, the target's constant Hessian, and A are both diagonal."""
+    p = target.hess_oracle(target.minimizer) if target.hess_constant else None
+    if not (isinstance(p, SymMatrix) and p.is_diagonal and config.A.is_diagonal):
+        raise InvalidInput("the exact law needs a Gaussian target, with P and A both diagonal")
+    gaps = np.diff(np.asarray(steps, dtype=np.int64), prepend=0).tolist()
+    if min(gaps, default=0) < 0:
+        raise InvalidInput("step counts must ascend from 0")
+    powers = [mode_maps(config, delta, p.diag)]  # (M^(2^j), sum_{i<2^j} M^i Sigma M^iT)
+    mean = np.stack([init.x0 - target.minimizer, np.zeros(target.dim)], axis=1)[..., None]  # (d, 2, 1)
+    cov = np.zeros_like(powers[0][1])
+    means, covs = np.empty((len(gaps), target.dim, 2)), np.empty((len(gaps), target.dim, 2, 2))
+    for i, gap in enumerate(gaps):  # each bit j of the gap takes 2^j steps
+        while len(powers) < gap.bit_length():
+            m, c = powers[-1]
+            powers.append((m @ m, m @ c @ m.swapaxes(1, 2) + c))
+        for m, c in (power for j, power in enumerate(powers) if gap >> j & 1):
+            mean, cov = m @ mean, m @ cov @ m.swapaxes(1, 2) + c
+        means[i], covs[i] = mean[..., 0], cov
+    return means, covs
 
 
 def _checked_cache(inits, target: TargetModel, config: ScalingConfig, delta: float, n_steps: int):

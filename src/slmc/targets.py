@@ -63,6 +63,8 @@ class TargetModel:
         x_star = np.asarray(self.minimizer, dtype=float)
         if x_star.shape != (self.dim,):
             raise InvalidInput("minimizer has wrong shape")
+        if not np.isfinite(x_star).all():  # a NaN gradient there would pass the norm check
+            raise InvalidInput("minimizer has non-finite entries")
         try:
             g = np.asarray(self.grad_oracle(x_star[None]))
         except (ValueError, TypeError, IndexError) as exc:

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ PINNED_UNSORTED_RESULTS = (
 PINNED_SAMPLE_SHA256 = {
     "samples_scaled.csv": "898b3b2b1130df2cd66dd33dff08faadd7938a6416c2f8f496edb97c2cadb28f",
     "samples_scaled.bin": "078c331f4ab5a98cb4e12ee12128b86dffd3e0d25c91d2ad383a3a62ed4516b3",
-    "trace_scaled.csv": "b7dc310224935d09af8ee5c5f2bbb48b47624d25138346f35167160e3782dbfa",
+    "trace_scaled.csv": "e9ae87a5a248b3d8fda895bb998b4fc4c0c77b6084f46865f19a19fd42e60f20",
 }
 
 LOGISTIC_CONFIG = """
@@ -66,8 +67,8 @@ n_steps = 500
 burn_in = 100
 """
 
-#: ``results.csv`` of ``compare`` on LOGISTIC_CONFIG over the dataset that
-#: ``test_logistic_results_bytes_pinned`` writes, at the default seed.
+#: ``results.csv`` of ``compare`` on LOGISTIC_CONFIG over the dataset of the
+#: ``logistic_config_path`` fixture, at the default seed.
 PINNED_LOGISTIC_RESULTS = (
     b"target,method,kappa,kappa_hat,theta,epsilon,delta,n,grad_calls,w2_gauss,w2_empirical,vel_ratio,wall_ms\n"
     b"logistic-n60-d3,scaled,15.5101528,1.4113752,1.21296405,1,0.05,500,1000,nan,nan,1.0758998,0\n"
@@ -80,6 +81,22 @@ def config_path(tmp_path):
     path = tmp_path / "experiment.cfg"
     path.write_text(CONFIG)
     return path
+
+
+@pytest.fixture
+def logistic_config_path(tmp_path):
+    """LOGISTIC_CONFIG over a 60-row, 3-feature dataset whose theta is 1.21."""
+    rng = np.random.default_rng(5)
+    features = rng.standard_normal((60, 3))
+    data = np.column_stack([features, np.where(rng.standard_normal(60) > 0, 1.0, -1.0)])
+    np.savetxt(tmp_path / "data.csv", data, delimiter=",", fmt="%.17g")
+    path = tmp_path / "logistic.cfg"
+    path.write_text(LOGISTIC_CONFIG.format(dataset=tmp_path / "data.csv"))
+    return path
+
+
+def refuse_batch(*args):
+    raise AssertionError("a chain ran")
 
 
 class TestUsageErrors:
@@ -109,10 +126,7 @@ class TestUsageErrors:
     def test_thin_that_keeps_nothing_is_refused_before_any_chain(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        def refuse(*args):
-            raise AssertionError("a chain ran")
-
-        monkeypatch.setattr(sampler, "_Batch", refuse)
+        monkeypatch.setattr(sampler, "_Batch", refuse_batch)
         path = tmp_path / "sparse.cfg"
         text = CONFIG.replace("n_steps = 500", "n_steps = 100")
         path.write_text(text.replace("burn_in = 100", "thin = 1000"))
@@ -179,16 +193,9 @@ class TestTuneAndPlan:
             "epsilon=0.5 unscaled: delta=0.000849887958 n=10743 applicable=True\n"
         )
 
-    def test_plan_past_theta_one_half_is_a_numerical_failure(self, tmp_path, capsys):
-        # the dataset of test_logistic_results_bytes_pinned, whose theta is 1.21
-        rng = np.random.default_rng(5)
-        features = rng.standard_normal((60, 3))
-        data = np.column_stack([features, np.where(rng.standard_normal(60) > 0, 1.0, -1.0)])
-        np.savetxt(tmp_path / "data.csv", data, delimiter=",", fmt="%.17g")
-        config_path = tmp_path / "logistic.cfg"
-        config_path.write_text(LOGISTIC_CONFIG.format(dataset=tmp_path / "data.csv"))
+    def test_plan_past_theta_one_half_is_a_numerical_failure(self, logistic_config_path, capsys):
         with pytest.warns(RuntimeWarning, match="theta = 1.21 exceeds 1/2"):
-            assert main(["plan", "--config", str(config_path)]) == NUMERICAL_EXIT
+            assert main(["plan", "--config", str(logistic_config_path)]) == NUMERICAL_EXIT
         err = capsys.readouterr().err.splitlines()
         assert err == ["slmc: numerical failure: theta = 1.21 >= 1/2: no step-size guarantee exists"]
 
@@ -260,7 +267,7 @@ class TestSample:
         )
         assert code == 0
         lines = (out_dir / "trace_scaled.csv").read_text().splitlines()
-        assert lines[0] == "step,time,w2_gauss"
+        assert lines[0] == "step,time,w2_exact"
         assert len(lines) > 10
 
     @pytest.mark.parametrize(
@@ -277,52 +284,79 @@ class TestSample:
         assert main(["sample", "--config", str(config_path), "--out", str(out_dir), *flags]) == 0
         assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == PINNED_SAMPLE_SHA256[name]
 
-    def test_trace_every_beyond_n_is_a_config_error(self, config_path, tmp_path, capsys, monkeypatch):
-        # it wrote a trace that held only its header, and exited 0
-        def refuse(*args):
-            raise AssertionError("a chain ran")
+    def test_trace_reads_the_law_at_the_planned_delta_and_n(self, tmp_path, monkeypatch):
+        # no chain and no gradient call: the last row is the exact W2 of law(x_n) at the plan
+        calls, build_target = [], experiment.build_target
 
-        monkeypatch.setattr(sampler, "_Batch", refuse)
+        def build(spec):
+            target = build_target(spec)
+
+            def counted(x):
+                calls.append(x)
+                return target.grad_oracle(x)
+
+            made = replace(target, grad_oracle=counted)
+            calls.clear()  # the construction check's call
+            return made
+
+        monkeypatch.setattr(experiment, "build_target", build)
+        monkeypatch.setattr(sampler, "_Batch", refuse_batch)
+        path = tmp_path / "planned.cfg"
+        path.write_text(CONFIG.replace("delta = 0.05\n", "").replace("n_steps = 500\n", "") + "[init]\nx0 = 3, 3\n")
+        out_dir = tmp_path / "out"
+        assert main(["sample", "--config", str(path), "--out", str(out_dir), "--trace"]) == 0
+        assert calls == []
+        setup = experiment.prepare_run(experiment.parse_config(path.read_text()), ("scaled",))
+        plan = setup.plan("scaled", 0.5)
+        lines = (out_dir / "trace_scaled.csv").read_text().splitlines()
+        every = plan.n_steps // 100
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [*range(every, plan.n_steps, every), plan.n_steps]
+        step, time, w2 = lines[-1].split(",")
+        assert (int(step), time) == (plan.n_steps, f"{plan.n_steps * plan.delta:.9g}")
+        mean, cov = sampler.exact_law(setup.target, setup.init, setup.scaled, plan.delta, [plan.n_steps])
+        law = metrics.GaussianSummary(setup.target.minimizer + mean[0, :, 0], SymMatrix.diagonal(cov[0, :, 0, 0]))
+        pi = metrics.GaussianSummary(setup.target.minimizer, setup.target.position_cov)
+        assert float(w2) == pytest.approx(metrics.gaussian_w2(law, pi), rel=1e-8)
+
+    def test_trace_every_beyond_n_gives_one_row_at_n(self, config_path, tmp_path, monkeypatch):
+        # the law is logged at n whatever --trace-every is
+        monkeypatch.setattr(sampler, "_Batch", refuse_batch)
         out_dir = tmp_path / "out"
         argv = ["sample", "--config", str(config_path), "--out", str(out_dir), "--trace",
                 "--trace-every", "1000"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1] == (
-            "slmc: config error: --trace-every 1000 with n = 500 steps logs no step from 3 on: "
-            "the trace would be empty"
-        )
-        assert not out_dir.exists()
+        assert main(argv) == 0
+        lines = (out_dir / "trace_scaled.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["500", "25"]]
 
     @pytest.mark.parametrize(
-        "n_steps, every, points",
-        [(1, None, 0), (3, "2", 0), (3, "1", 1), (3, "3", 1), (4, "2", 1)],
+        "n_steps, every, stops",
+        [(1, None, [1]), (3, "2", [2, 3]), (3, "1", [1, 2, 3]), (3, "3", [3]), (4, "2", [2, 4])],
+        ids=["1-None", "3-2", "3-1", "3-3", "4-2"],
     )
-    def test_trace_needs_a_logged_step_from_3_on(
-        self, tmp_path, capsys, monkeypatch, n_steps, every, points
-    ):
-        # a point is the W2 of a window xs[stop // 2 : stop] of >= 2 states; with
-        # every logged stop below 3 it wrote a header-only trace and exited 0
+    def test_trace_logs_each_multiple_of_every_and_n(self, tmp_path, monkeypatch, n_steps, every, stops):
+        # every multiple of --trace-every below n, then n itself, from step 1 on
+        monkeypatch.setattr(sampler, "_Batch", refuse_batch)
         path = tmp_path / "short.cfg"
         path.write_text(
             CONFIG.replace("n_steps = 500", f"n_steps = {n_steps}").replace("burn_in = 100", "burn_in = 0")
         )
-        if points == 0:
-            def refuse(*args):
-                raise AssertionError("a chain ran")
-
-            monkeypatch.setattr(sampler, "_Batch", refuse)
         out_dir = tmp_path / "out"
         argv = ["sample", "--config", str(path), "--out", str(out_dir), "--trace"]
         argv += [] if every is None else ["--trace-every", every]
-        if points == 0:
+        assert main(argv) == 0
+        lines = (out_dir / "trace_scaled.csv").read_text().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == stops
+
+    def test_trace_on_a_logistic_target_is_a_config_error(self, logistic_config_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sampler, "_Batch", refuse_batch)
+        out_dir = tmp_path / "out"
+        argv = ["sample", "--config", str(logistic_config_path), "--out", str(out_dir), "--trace"]
+        with pytest.warns(RuntimeWarning, match="theta = 1.21 exceeds 1/2"):
             assert main(argv) == 2
-            assert "logs no step from 3 on" in capsys.readouterr().err
-            assert not out_dir.exists()
-        else:
-            assert main(argv) == 0
-            lines = (out_dir / "trace_scaled.csv").read_text().splitlines()
-            assert len(lines) == 1 + points
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "slmc: config error: the exact law needs a Gaussian target, with P and A both diagonal"
+        )
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -381,16 +415,10 @@ class TestCompare:
         assert main(argv) == 0
         assert (out_dir / "results.csv").read_bytes() == PINNED_UNSORTED_RESULTS
 
-    def test_logistic_results_bytes_pinned(self, tmp_path):
-        rng = np.random.default_rng(5)
-        features = rng.standard_normal((60, 3))
-        data = np.column_stack([features, np.where(rng.standard_normal(60) > 0, 1.0, -1.0)])
-        np.savetxt(tmp_path / "data.csv", data, delimiter=",", fmt="%.17g")
-        config_path = tmp_path / "logistic.cfg"
-        config_path.write_text(LOGISTIC_CONFIG.format(dataset=tmp_path / "data.csv"))
+    def test_logistic_results_bytes_pinned(self, logistic_config_path, tmp_path):
         out_dir = tmp_path / "out"
         with pytest.warns(RuntimeWarning, match="theta = 1.21 exceeds 1/2"):
-            assert main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == 0
+            assert main(["compare", "--config", str(logistic_config_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "results.csv").read_bytes() == PINNED_LOGISTIC_RESULTS
 
     def test_blowup_is_a_numerical_failure(self, tmp_path, capsys):

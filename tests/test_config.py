@@ -1,5 +1,6 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from slmc.errors import ConfigError
@@ -257,3 +258,37 @@ def test_every_field_is_named_by_exactly_one_key():
     for cls, target_section in ((TargetSpecification, True), (ExperimentConfig, False)):
         named = [row.field for (section, _), row in CONFIG_KEYS.items() if (section == "target") == target_section]
         assert sorted(named) == sorted(f.name for f in fields(cls) if f.name != "target")
+
+
+#: A config per number-valued key, {v} standing for one of its numbers, and that line.
+NUMBER_KEYS = {
+    ("target", "precision_diag"): (MINIMAL.replace("precision_diag = 1, 4", "precision_diag = 1, {v}"), 4),
+    ("target", "mean"): (MINIMAL.replace("kind = gaussian", "kind = gaussian\nmean = {v}, 0"), 4),
+    ("target", "ridge"): (LOGISTIC.replace("ridge = 1.0", "ridge = {v}"), 5),
+    ("init", "x0"): (MINIMAL + "[init]\nx0 = {v}, 0\n", 10),
+    ("init", "dist_bound"): (MINIMAL + "[init]\ndist_bound = {v}\n", 10),
+    ("run", "epsilons"): (MINIMAL.replace("epsilons = 0.5", "epsilons = 0.5, {v}"), 8),
+    ("run", "delta"): (MINIMAL + "delta = {v}\nn_steps = 100\n", 9),
+}
+
+
+def test_number_keys_are_every_key_read_as_floats():
+    def floats(row):
+        try:
+            return np.atleast_1d(row.parse("0.5")).dtype.kind == "f"
+        except ValueError:
+            return False
+
+    assert set(NUMBER_KEYS) == {key for key, row in CONFIG_KEYS.items() if floats(row)}
+
+
+@pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", NUMBER_KEYS, ids="{0[0]}.{0[1]}".format)
+def test_non_finite_number_names_its_line(key, number):
+    # NaN passed the lower bounds (epsilons = nan wrote nan rows) and inf every check
+    template, line = NUMBER_KEYS[key]
+    with pytest.raises(ConfigError) as err:
+        parse_config(template.format(v=number))
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: expected finite numbers, got ")
+    assert number in str(err.value)

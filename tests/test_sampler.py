@@ -17,8 +17,10 @@ from slmc.sampler import (
     Cell,
     ChainState,
     coupled_pair_run,
+    exact_law,
     kernel_moments,
     make_step_cache,
+    mode_maps,
     run_cells,
     run_chain,
     step,
@@ -895,3 +897,75 @@ class TestCoupledPair:
         wrong = InitSpec(x0=np.zeros(3), dist_bound=0.0)
         with pytest.raises(InvalidInput):
             coupled_pair_run(wrong, wrong, target, config, 0.05, 5, np.random.default_rng(0))
+
+
+class TestExactLaw:
+    """The exact law of a chain on a diagonal Gaussian, from the kernel's per-mode maps."""
+
+    @pytest.fixture(params=["scaled", "unscaled"])
+    def setup(self, request):
+        # a non-ascending P, so mode i must be coordinate i, with mu != 0 and x0 != mu
+        target = make_gaussian(np.array([0.5, -1.0, 2.0]), SymMatrix.diagonal([4.0, 1.0, 2.0]))
+        if request.param == "scaled":
+            config = scaled_params(target, estimate_theta(target, [np.zeros(3)], [np.zeros(3)]))
+        else:
+            config = unscaled_config(target)
+        assert config.A.is_diagonal
+        return target, config, InitSpec.from_point(target, np.array([1.5, 2.0, -1.0]))
+
+    def test_one_step_is_the_kernel_on_the_linear_gradient(self, setup):
+        target, config, _ = setup
+        p, mu = target.hess_oracle(target.minimizer).diag, target.minimizer
+        maps, cov = mode_maps(config, 0.3, p)
+        state = ChainState(x=np.array([1.5, 2.0, -1.0]), v=np.array([0.3, -0.7, 1.1]))
+        moments = kernel_moments(state, p * (state.x - mu), config, 0.3)
+        mean = (maps @ np.stack([state.x - mu, state.v], axis=1)[..., None])[..., 0]
+        assert np.abs(mean[:, 0] + mu - moments.mean_x).max() <= 1e-14
+        assert np.abs(mean[:, 1] - moments.mean_v).max() <= 1e-14
+        joint = np.block([[np.diag(cov[:, i, j]) for j in (0, 1)] for i in (0, 1)])
+        assert np.abs(joint - moments.joint_cov().mat).max() <= 1e-14
+
+    @pytest.mark.parametrize("stops", [list(range(1, 65)), [0, 3, 4, 17, 40, 41, 64, 1000]], ids=["1..64", "uneven"])
+    def test_doubling_is_the_step_by_step_recursion(self, setup, stops):
+        target, config, init = setup
+        maps, cov = mode_maps(config, 0.1, target.hess_oracle(target.minimizer).diag)
+        mean, law_cov = exact_law(target, init, config, 0.1, stops)
+        m, c = np.stack([init.x0 - target.minimizer, np.zeros(3)], axis=1), np.zeros((3, 2, 2))
+        for k in range(stops[-1] + 1):
+            if k in stops:
+                i = stops.index(k)
+                assert np.abs(mean[i] - m).max() <= 1e-12 * np.abs(m).max()
+                assert np.abs(law_cov[i] - c).max() <= 1e-12 * np.abs(c).max()
+            m, c = (maps @ m[..., None])[..., 0], maps @ c @ maps.transpose(0, 2, 1) + cov
+
+    def test_many_chains_match_the_law(self, setup):
+        # the final states of C = 4096 chains after k = 40 steps, as z-scores against the law
+        target, config, init = setup
+        chains, k, delta = 4096, 40, 0.05
+        rngs = tuple(np.random.default_rng(s) for s in np.random.SeedSequence(26).spawn(chains))
+        final = run_cells(target, [Cell(init, config, delta, k, rngs, keep="")])[0].final  # (C, 2, d)
+        mean, cov = exact_law(target, init, config, delta, [k])
+        for i in (0, 1):  # x and v
+            states = final[:, i] - (target.minimizer if i == 0 else 0.0)
+            var = cov[0, :, i, i]
+            z_mean = (states.mean(axis=0) - mean[0, :, i]) / np.sqrt(var / chains)
+            z_var = (states.var(axis=0, ddof=1) - var) / (var * np.sqrt(2.0 / (chains - 1)))
+            assert np.abs(z_mean).max() < 5 and np.abs(z_var).max() < 5
+
+    def test_needs_a_diagonal_gaussian_and_a_diagonal_a(self, setup):
+        target, config, init = setup
+        dense_p = make_gaussian(np.zeros(3), random_spd(np.random.default_rng(1), 3))
+        dense_a = replace(config, A=random_spd(np.random.default_rng(2), 3))
+        logistic = random_logistic(45, rows=40, d=3, ridge=0.5)
+        for model, chain_config in ((dense_p, config), (target, dense_a), (logistic, config)):
+            with pytest.raises(InvalidInput, match="needs a Gaussian target, with P and A both diagonal"):
+                exact_law(model, InitSpec.from_point(model), chain_config, 0.1, [1])
+        with pytest.raises(InvalidInput, match="step counts must ascend"):
+            exact_law(target, init, config, 0.1, [5, 3])
+
+    def test_many_steps_reach_the_discretized_stationary_law(self, setup):
+        # the transient dies out: at n = 10^9 the law no longer moves with n
+        target, config, init = setup
+        mean, cov = exact_law(target, init, config, 0.05, [10**8, 10**9])
+        assert np.abs(mean).max() < 1e-300
+        assert np.abs(cov[1] - cov[0]).max() <= 1e-12 * np.abs(cov[1]).max()

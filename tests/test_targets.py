@@ -42,6 +42,12 @@ class TestGaussian:
         with pytest.raises(InvalidInput):
             make_gaussian(np.zeros(2), SymMatrix(np.diag([1.0, -2.0])))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_mean_rejected(self, entry):
+        # a NaN minimizer has a NaN gradient there, which passed the |grad f| check
+        with pytest.raises(InvalidInput, match="minimizer has non-finite entries"):
+            make_gaussian(np.array([entry, 0.0]), SymMatrix.diagonal([1.0, 4.0]))
+
     def test_hessian_constant_everywhere(self):
         t = make_gaussian(np.ones(2), SymMatrix(np.array([[2.0, 0.5], [0.5, 1.0]])))
         assert t.hess_constant

@@ -87,7 +87,8 @@ def _cmd_sample(args) -> int:
     setup = experiment.prepare_run(config, (method,))
     target, init = setup.target, setup.init
     chain_config = setup.chain_config(method)
-    delta, n_steps, burn_in, warnings = setup.cell(config, method, config.epsilons[0])
+    delta, n_steps, warnings = setup.schedule(config, method, config.epsilons[0])
+    burn_in = None if args.trace else experiment.cell_burn_in(config, n_steps)  # the trace keeps no state
     _print_warnings(method, config.epsilons[0], warnings)
 
     out_dir = Path(config.out_dir)

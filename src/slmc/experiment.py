@@ -119,8 +119,11 @@ CSV_HEADER = ",".join(f.name for f in _COLUMNS)
 
 
 def _floats(value: str) -> tuple[float, ...]:
+    tokens = value.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"expected a comma-separated number list: empty entry in {value!r}")
     try:
-        return tuple(float(tok) for tok in value.split(",") if tok.strip())
+        return tuple(float(tok) for tok in tokens)
     except ValueError as exc:
         raise ValueError(f"expected a comma-separated number list: {exc}") from exc
 
@@ -301,17 +304,12 @@ class RunSetup:
             return plan_scaled(epsilon, self.scaled, target.dim, target.m, bound)
         return plan_unscaled(epsilon, target.kappa, target.dim, target.m, bound)
 
-    def cell(
-        self, config: ExperimentConfig, method: str, epsilon: float
-    ) -> tuple[float, int, int, list[str]]:
-        """Step size, step count, burn-in and warnings of one cell.
+    def schedule(self, config: ExperimentConfig, method: str, epsilon: float) -> tuple[float, int, list[str]]:
+        """Step size, step count and warnings of one cell.
 
         The config's delta/n_steps overrides win over the plan; the
         warnings then judge the override delta, and a theorem that does
-        not apply becomes a warning. Burn-in defaults to
-        ``min(n // 2, n - 1)``: planner-driven runs are only a few
-        relaxation times long, so the start-up transient is material.
-        A thin that keeps no state after burn-in is a ``ConfigError``.
+        not apply becomes a warning.
         """
         if config.delta_override is not None:
             delta, n_steps = config.delta_override, config.n_override
@@ -319,16 +317,17 @@ class RunSetup:
                 warnings = self.step_warnings(method, delta)
             except TheoremInapplicable as exc:
                 warnings = [str(exc)]
-        else:
-            plan = self.plan(method, epsilon)
-            delta, n_steps, warnings = plan.delta, plan.n_steps, list(plan.warnings)
-        burn_in = config.burn_in if config.burn_in is not None else n_steps // 2
-        burn_in = min(burn_in, n_steps - 1)
-        if not 1 <= config.thin <= n_steps - burn_in:
-            raise ConfigError(
-                f"thin = {config.thin} keeps no state of n = {n_steps} steps after burn-in {burn_in}"
-            )
-        return delta, n_steps, burn_in, warnings
+            return delta, n_steps, warnings
+        plan = self.plan(method, epsilon)
+        return plan.delta, plan.n_steps, list(plan.warnings)
+
+    def cell(
+        self, config: ExperimentConfig, method: str, epsilon: float
+    ) -> tuple[float, int, int, list[str]]:
+        """Step size, step count, burn-in and warnings of one cell's chains
+        (``schedule``, then ``cell_burn_in``)."""
+        delta, n_steps, warnings = self.schedule(config, method, epsilon)
+        return delta, n_steps, cell_burn_in(config, n_steps), warnings
 
     def step_warnings(self, method: str, delta: float) -> list[str]:
         """The planner's checks of ``method``'s guarantee, run on ``delta``."""
@@ -336,6 +335,18 @@ class RunSetup:
             target, bound = self.target, self.init.dist_bound
             return scaled_step_warnings(delta, self.scaled, target.dim, target.m, bound)
         return unscaled_step_warnings(delta)
+
+
+def cell_burn_in(config: ExperimentConfig, n_steps: int) -> int:
+    """The burn-in of a chain of n_steps steps: the config's, or by default
+    ``min(n // 2, n - 1)``, as planner-driven runs are only a few relaxation
+    times long, so the start-up transient is material. A thin that keeps no
+    state after burn-in is a ``ConfigError``."""
+    steps = config.burn_in if config.burn_in is not None else n_steps // 2
+    steps = min(steps, n_steps - 1)
+    if not 1 <= config.thin <= n_steps - steps:
+        raise ConfigError(f"thin = {config.thin} keeps no state of n = {n_steps} steps after burn-in {steps}")
+    return steps
 
 
 def prepare_run(config: ExperimentConfig, methods: tuple[str, ...] | None = None) -> RunSetup:
@@ -411,6 +422,11 @@ def run_experiment(config: ExperimentConfig, record_timing: bool = False) -> lis
         )
         for (method, epsilon, rngs), (delta, n_steps, burn_in, _) in zip(cells, plans)
     ]
+    if summary is not None:  # W2 fits a covariance to each cell's pooled states
+        for spec in specs:
+            kept = len(spec.rngs) * ((spec.n_steps - spec.burn_in) // spec.thin)
+            if kept < 2:
+                raise ConfigError(f"cell '{spec.label}' keeps {kept} state, and its W2 needs at least 2")
     d = target.dim
     total_steps = sum(spec.n_steps * len(spec.rngs) for spec in specs)
     if summary is not None:  # shared by the evaluation threads, so imported on this one

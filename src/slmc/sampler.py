@@ -122,19 +122,40 @@ _COV_XX_SERIES = tuple(
 )
 
 
-def _cov_xx_shape(s: np.ndarray) -> np.ndarray:
+#: Up to this many entries the series runs on Python floats: each numpy call
+#: would cost more than its arithmetic.
+_SERIES_SCALAR_MAX = 16
+
+
+def _horner(t):
+    """sum_{k=3}^{25} c_k t^(k-3) by Horner, on a float or elementwise on an array."""
+    acc = _COV_XX_SERIES[0]
+    for c in _COV_XX_SERIES[1:]:
+        acc = acc * t + c
+    return acc
+
+
+def _cov_xx_shape(s: np.ndarray, em1=None, em2=None) -> np.ndarray:
     """g(s) = s + 2 expm1(-s) - expm1(-2s)/2, exact to rounding: below s = 1,
     where the direct form cancels, its series s^3 sum_{k=3}^{25} c_k s^(k-3) by
     Horner (the first omitted term is below 1e-17 of g); from s = 1 on, where it
-    cancels by at most a factor ~8, the direct form."""
-    out = s + 2.0 * np.expm1(-s) - 0.5 * np.expm1(-2.0 * s)
+    cancels by at most a factor ~8, the direct form, from ``em1`` = expm1(-s) and
+    ``em2`` = expm1(-2s) if given. The direct form is evaluated only if some s is
+    from 1 up. A float product or sum is one IEEE operation on a Python float as
+    on a numpy element, so the series gives the same bits on either."""
     small = s < 1.0
-    t = s[small]
-    acc = np.full_like(t, _COV_XX_SERIES[0])
-    for c in _COV_XX_SERIES[1:]:
-        acc *= t
-        acc += c
-    out[small] = t**3 * acc
+    every = small.all()
+    t = s if every else s[small]
+    if t.size <= _SERIES_SCALAR_MAX:
+        series = t**3 * np.array([_horner(x) for x in t.tolist()])
+    else:
+        series = t**3 * _horner(t)
+    if every:
+        return series
+    if em1 is None:
+        em1, em2 = np.expm1(-s), np.expm1(-2.0 * s)
+    out = s + 2.0 * em1 - 0.5 * em2
+    out[small] = series
     return out
 
 
@@ -143,8 +164,8 @@ def _modes(config: ScalingConfig, delta: float):
     in coordinate order (V = I), a dense A's its ascending eigenvalues.
 
     Returns ``(mean_w, mean_g, cov)``: ``mean_w`` and ``mean_g`` are
-    (2, d) rows (y, w) weighting w and h in the step mean, ``cov`` holds
-    the (3, d) rows cov_yy, cov_yw, cov_ww.
+    (2, d) rows (y, w) weighting w and h in the step mean, views of one
+    (4, d) array, and ``cov`` holds the (3, d) rows cov_yy, cov_yw, cov_ww.
     """
     if not (delta > 0.0 and np.isfinite(delta)):
         raise InvalidInput("step size delta must be positive")
@@ -152,18 +173,19 @@ def _modes(config: ScalingConfig, delta: float):
     modes = a.diag if a.is_diagonal else a.eig.values
     u = config.u
     ga = config.gamma * modes
+    ga2 = ga**2
     s = ga * delta
-    one_minus = -np.expm1(-s)  # 1 - e^{-s}, accurate for small s
-    mean_w = np.stack([one_minus / ga, np.exp(-s)])
-    mean_g = np.stack([u * (s + np.expm1(-s)) / ga**2, u * one_minus / ga])
-    cov = np.stack(
-        [
-            2.0 * u * _cov_xx_shape(s) / ga**2,
-            (u / ga) * np.expm1(-s) ** 2,
-            -u * np.expm1(-2.0 * s),
-        ]
-    )
-    return mean_w, mean_g, cov
+    em1, em2 = np.expm1(-s), np.expm1(-2.0 * s)  # accurate for small s
+    one_minus = -em1  # 1 - e^{-s}
+    mean, cov = np.empty((4, s.size)), np.empty((3, s.size))
+    mean[0] = one_minus / ga
+    mean[1] = np.exp(-s)
+    mean[2] = u * (s + em1) / ga2
+    mean[3] = u * one_minus / ga
+    cov[0] = 2.0 * u * _cov_xx_shape(s, em1, em2) / ga2
+    cov[1] = (u / ga) * em1**2
+    cov[2] = -u * em2
+    return mean[:2], mean[2:], cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,12 +249,13 @@ def make_step_cache(config: ScalingConfig, delta: float) -> StepCache:
     cov_yy underflows; no jitter is added.
     """
     mean_w, mean_g, (c_yy, c_yw, c_ww) = _modes(config, delta)
+    factor = np.zeros((2, 2, c_yy.size))  # l_yw stays 0
     with np.errstate(all="ignore"):
-        l_yy = np.sqrt(c_yy)
-        l_wy = c_yw / l_yy
+        factor[0, 0] = l_yy = np.sqrt(c_yy)
+        factor[1, 0] = l_wy = c_yw / l_yy
         schur = c_ww - l_wy**2
-        factor = np.stack([[l_yy, np.zeros_like(l_yy)], [l_wy, np.sqrt(schur)]])
-    if not (np.all(c_yy > 0.0) and np.all(schur > 0.0) and np.all(np.isfinite(factor))):
+        factor[1, 1] = np.sqrt(schur)
+    if not ((c_yy > 0.0).all() and (schur > 0.0).all() and np.isfinite(factor).all()):
         raise NotPositiveDefinite(
             f"step covariance is not positive definite at delta = {delta:.3e}"
         )

@@ -136,6 +136,39 @@ class TestUsageErrors:
         assert err == ["slmc: config error: thin = 1000 keeps no state of n = 100 steps after burn-in 50"]
         assert not out_dir.exists()
 
+    def test_trace_takes_no_thin_check(self, tmp_path, monkeypatch):
+        # the trace keeps no state, so a thin that would keep none is no error there
+        monkeypatch.setattr(sampler, "_Batch", refuse_batch)
+        path = tmp_path / "sparse.cfg"
+        path.write_text(CONFIG.replace("n_steps = 500", "n_steps = 100").replace("burn_in = 100", "thin = 1000"))
+        out_dir = tmp_path / "out"
+        assert main(["sample", "--config", str(path), "--out", str(out_dir), "--trace"]) == 0
+        lines = (out_dir / "trace_scaled.csv").read_text().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 101))
+
+    @pytest.mark.parametrize(
+        "run", ["chains = 1\nn_steps = 2\nburn_in = 1", "chains = 1\nn_steps = 1"], ids=["burn-in", "one-step"]
+    )
+    def test_cell_keeping_one_state_is_refused_before_any_chain(self, tmp_path, capsys, monkeypatch, run):
+        # W2 fits a covariance to a cell's states: this failed after every chain, naming no cell
+        monkeypatch.setattr(sampler, "_Batch", refuse_batch)
+        path = tmp_path / "few.cfg"
+        text = CONFIG.replace("chains = 2\n", "").replace("n_steps = 500\n", "").replace("burn_in = 100\n", "")
+        path.write_text(text + run + "\n")
+        out_dir = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["slmc: config error: cell 'scaled eps=0.5' keeps 1 state, and its W2 needs at least 2"]
+        assert not out_dir.exists()
+
+    def test_logistic_cell_keeping_one_state_runs(self, logistic_config_path, tmp_path):
+        # no W2 is evaluated on a logistic target, so one state is enough
+        text = logistic_config_path.read_text().replace("chains = 2", "chains = 1")
+        logistic_config_path.write_text(text.replace("n_steps = 500", "n_steps = 1"))
+        out_dir = tmp_path / "out"
+        assert main(["compare", "--config", str(logistic_config_path), "--out", str(out_dir)]) == 0
+        assert len((out_dir / "results.csv").read_text().splitlines()) == 3
+
 
 def refuse_eig(self):
     raise AssertionError("SymMatrix.eig read")

@@ -152,6 +152,22 @@ ONE_ERROR = {
         "line 4: expected a comma-separated number list: could not convert string to float: ' x'",
         4,
     ),
+    # an empty entry was dropped: `1,,4` read as a 2-D target
+    "empty-entry-inside": (
+        MINIMAL.replace("precision_diag = 1, 4", "precision_diag = 1,,4"),
+        "line 4: expected a comma-separated number list: empty entry in '1,,4'",
+        4,
+    ),
+    "empty-entry-last": (
+        MINIMAL.replace("precision_diag = 1, 4", "precision_diag = 1, 4,"),
+        "line 4: expected a comma-separated number list: empty entry in '1, 4,'",
+        4,
+    ),
+    "empty-entry-first": (
+        MINIMAL.replace("epsilons = 0.5", "epsilons = ,1"),
+        "line 8: expected a comma-separated number list: empty entry in ',1'",
+        8,
+    ),
     "chains-zero": (MINIMAL + "chains = 0\n", "line 9: chains must be positive", 9),
     "burn_in-negative": (MINIMAL + "burn_in = -1\n", "line 9: burn_in must be nonnegative", 9),
     "thin-zero": (MINIMAL + "thin = 0\n", "line 9: thin must be positive", 9),

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ZeroRng, make_config, random_logistic, random_spd
+from slmc import sampler
 from slmc.errors import InvalidInput, NotPositiveDefinite, NumericalBlowup
-from slmc.experiment import tune_scaled
+from slmc.experiment import prepare_run, tune_scaled
 from slmc.sampler import (
     NOISE_BLOCK_DOUBLES,
     _Batch,
+    _COV_XX_SERIES,
     _cov_xx_shape,
     Cell,
     ChainState,
@@ -179,11 +182,89 @@ COV_XX_SHAPE_REFERENCE = [
 ]
 
 
+def full_cov_xx_shape(s):
+    """g(s) with every one of the 23 series terms on every entry below s = 1, and
+    the direct form from 1 up: the evaluation the kernel build must match bit for bit."""
+    out = s + 2.0 * np.expm1(-s) - 0.5 * np.expm1(-2.0 * s)
+    small = s < 1.0
+    t = s[small]
+    acc = np.full_like(t, _COV_XX_SERIES[0])
+    for c in _COV_XX_SERIES[1:]:
+        acc *= t
+        acc += c
+    out[small] = t**3 * acc
+    return out
+
+
+def full_step_rows(config, delta):
+    """mean_w, mean_g and the factor of one step, each row a whole-array expression."""
+    a = config.A
+    ga = config.gamma * (a.diag if a.is_diagonal else a.eig.values)
+    s, u = ga * delta, config.u
+    one_minus = -np.expm1(-s)
+    mean_w = np.stack([one_minus / ga, np.exp(-s)])
+    mean_g = np.stack([u * (s + np.expm1(-s)) / ga**2, u * one_minus / ga])
+    c_yy, c_yw, c_ww = 2.0 * u * full_cov_xx_shape(s) / ga**2, (u / ga) * np.expm1(-s) ** 2, -u * np.expm1(-2.0 * s)
+    l_yy = np.sqrt(c_yy)
+    l_wy = c_yw / l_yy
+    factor = np.stack([[l_yy, np.zeros_like(l_yy)], [l_wy, np.sqrt(c_ww - l_wy**2)]])
+    return mean_w, mean_g, factor
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def workload_steps(tmp_path_factory):
+    """(label, chain config, delta) of every cell of the benchmark's three workloads."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(bench)
+        import workloads
+    steps = []
+    for name in workloads.NAMES:
+        config = workloads.make_workload(name, 5, str(tmp_path_factory.mktemp(name))).config
+        setup = prepare_run(config)
+        for method in config.methods:
+            for eps in config.epsilons:
+                delta, _, _ = setup.schedule(config, method, eps)
+                steps.append((f"{name} {method} eps={eps:g}", setup.chain_config(method), delta))
+    return steps
+
+
 class TestCovXXShape:
     def test_matches_reference_values(self):
         # the direct form alone is off by up to ~1e-9 just above s = 1e-3
         s, expected = np.array(COV_XX_SHAPE_REFERENCE).T
         np.testing.assert_allclose(_cov_xx_shape(s), expected, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("size", [1, 2, 16, 17, 300])
+    @pytest.mark.parametrize("lo, hi", [(1e-12, 0.999), (1.0, 50.0), (1e-12, 50.0)], ids=["below-1", "from-1", "mixed"])
+    def test_bit_equal_to_the_full_series(self, size, lo, hi):
+        # sizes on both sides of the Python-float series, with and without the direct form
+        s = np.random.default_rng(size).permutation(np.geomspace(lo, hi, size))
+        assert same_bits(_cov_xx_shape(s), full_cov_xx_shape(s))
+        em1, em2 = np.expm1(-s), np.expm1(-2.0 * s)
+        assert same_bits(_cov_xx_shape(s, em1, em2), full_cov_xx_shape(s))
+
+    def test_bit_equal_on_random_arrays(self):
+        rng = np.random.default_rng(61)
+        for _ in range(2000):
+            lo = rng.uniform(-12.0, math.log10(50.0))
+            s = 10.0 ** rng.uniform(lo, math.log10(50.0), int(rng.integers(1, 40)))
+            assert same_bits(_cov_xx_shape(s), full_cov_xx_shape(s))
+
+    @pytest.mark.parametrize("value", [1e-12, 0.01, 0.999, 1.0, 50.0])
+    def test_bit_equal_on_one_entry(self, value):
+        s = np.array([value])
+        assert same_bits(_cov_xx_shape(s), full_cov_xx_shape(s))
+
+    def test_bit_equal_at_every_workload_step(self, workload_steps):
+        for label, config, delta in workload_steps:
+            a = config.A
+            s = config.gamma * (a.diag if a.is_diagonal else a.eig.values) * delta
+            assert same_bits(_cov_xx_shape(s), full_cov_xx_shape(s)), label
 
 
 class TestStepCache:
@@ -237,6 +318,47 @@ class TestStepCache:
         # cov_xx ~ delta^3 underflows to zero: no jitter, an explicit failure
         with pytest.raises(NotPositiveDefinite):
             make_step_cache(make_config(SymMatrix(np.eye(2))), 1e-120)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{0: np.nan}, {0: 0.0}, {0: -1e-3}, {0: np.inf}, {1: np.nan}, {1: 10.0}, {2: np.nan}, {2: -1.0},
+         {1: 0.0, 2: 0.0}],
+        ids=["yy-nan", "yy-zero", "yy-negative", "yy-inf", "yw-nan", "yw-large", "ww-nan", "ww-negative",
+             "schur-zero"],
+    )
+    def test_covariance_that_does_not_factor_raises(self, monkeypatch, entries):
+        # mode 1's rows of cov (0 yy, 1 yw, 2 ww) are set NaN, non-positive or infinite,
+        # or so that its Schur complement c_ww - c_yw^2 / c_yy is negative or exactly 0
+        modes = sampler._modes
+
+        def broken(config, delta):
+            mean_w, mean_g, cov = modes(config, delta)
+            cov = cov.copy()
+            for row, value in entries.items():
+                cov[row, 1] = value
+            return mean_w, mean_g, cov
+
+        config = make_config(SymMatrix.diagonal([1.0, 4.0, 2.0]))
+        make_step_cache(config, 0.1)
+        monkeypatch.setattr(sampler, "_modes", broken)
+        with pytest.raises(NotPositiveDefinite):
+            make_step_cache(config, 0.1)
+
+    def test_bit_equal_to_whole_array_expressions(self, workload_steps):
+        # the rows are written into preallocated arrays, by the same IEEE operations in the same order
+        rng = np.random.default_rng(67)
+        cases = list(workload_steps)
+        for d in (1, 3, 16, 17, 40):
+            for delta in (1e-6, 1e-3, 0.05, 0.7, 20.0):
+                dense = random_spd(rng, d, lo=0.1, hi=100.0)
+                diag = SymMatrix.diagonal(10.0 ** rng.uniform(-1.0, 2.0, d))
+                cases += [(f"d={d} delta={delta}", make_config(a, u=1.7, gamma=1.3), delta) for a in (dense, diag)]
+        for label, config, delta in cases:
+            cache = make_step_cache(config, delta)
+            mean_w, mean_g, factor = full_step_rows(config, delta)
+            assert same_bits(cache.mean_w, mean_w), label
+            assert same_bits(cache.mean_g, mean_g), label
+            assert same_bits(cache.factor, factor), label
 
 
 class TestStep:

@@ -62,6 +62,10 @@ def _read_bin(path) -> tuple[np.ndarray, np.ndarray]:
         if version != VERSION:
             raise InvalidInput(f"{path}: unsupported version {version}")
         body = np.frombuffer(fh.read(), dtype="<f8")
+    if d == 0:
+        raise InvalidInput(f"{path}: header gives dimension 0")
+    if count == 0:
+        raise InvalidInput(f"{path}: no samples")
     if body.size != count * 2 * d:
         raise InvalidInput(f"{path}: payload size does not match header")
     records = body.reshape(count, 2 * d)
@@ -69,8 +73,14 @@ def _read_bin(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        rows = [line for line in fh.read().splitlines()[1:] if line.strip()]
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(
+            f"{path}: neither a ULDS binary nor a text sample CSV ({exc.reason})"
+        ) from exc
+    rows = [line for line in text.splitlines()[1:] if line.strip()]
     if not rows:
         raise InvalidInput(f"{path}: no samples")
     try:

@@ -395,15 +395,16 @@ class _Batch:
         mean_w, mean_g = self.mean[:, :, : path.shape[2]]
         tmp = np.empty_like(path[0])
         grads = []  # each step's gradients, to name a trip's cause
+        grad, keep, multiply = self.grad, grads.append, np.multiply
         with np.errstate(over="ignore", invalid="ignore"):
             for t, n in enumerate(noise):
-                xv, out = path[t], path[t + 1]
-                g = self.grad(xv[0])
-                grads.append(g)
+                y, w, out = path[t, 0], path[t, 1], path[t + 1]
+                g = grad(y)
+                keep(g)
                 # (y, w) <- (y + m_wy w - m_gy h, m_ww w - m_gw h) + noise
-                np.multiply(mean_w, xv[1], out=out)
-                out[0] += xv[0]
-                out -= np.multiply(mean_g, g, out=tmp)
+                multiply(mean_w, w, out=out)
+                out[0] += y
+                out -= multiply(mean_g, g, out=tmp)
                 out += n
             self.xv = path[-1]
             steps = path[1:]

@@ -504,6 +504,22 @@ class TestW2:
         assert main(["w2", str(empty), str(sample)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"slmc: config error: {empty}: no samples"]
 
+    def test_undecodable_file_is_a_config_error(self, tmp_path, capsys):
+        garbage = tmp_path / "garbage.dat"
+        garbage.write_bytes(b"\xff\xfe\x00garbage")
+        assert main(["w2", str(garbage), str(garbage)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"slmc: config error: {garbage}: neither a ULDS binary nor a text")
+
+    def test_zero_dimension_binary_is_a_config_error(self, tmp_path, capsys):
+        # it read as 3 empty points, and w2 printed 0
+        zero = tmp_path / "z.bin"
+        zero.write_bytes(b"ULDS" + (1).to_bytes(4, "little") + bytes(4) + (3).to_bytes(4, "little"))
+        assert main(["w2", str(zero), str(zero)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"slmc: config error: {zero}: header gives dimension 0"]
+
     def test_same_file_is_zero(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "out"
         main(["sample", "--config", str(config_path), "--out", str(out_dir)])

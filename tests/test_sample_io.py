@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,4 +73,32 @@ def test_truncated_payload_rejected(tmp_path, sample_data):
     write_samples_bin(path, xs, vs)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(InvalidInput):
+        read_samples(path)
+
+
+def ulds_header(d, count):
+    return struct.pack("<4sIII", b"ULDS", 1, d, count)
+
+
+def test_undecodable_file_names_the_path(tmp_path):
+    # neither the ULDS magic nor text: the CSV reader's UnicodeDecodeError escaped
+    path = tmp_path / "garbage.dat"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    message = f"^{re.escape(str(path))}: neither a ULDS binary nor a text sample CSV"
+    with pytest.raises(InvalidInput, match=message):
+        read_samples(path)
+
+
+def test_bin_zero_dimension_rejected(tmp_path):
+    # d = 0 and an empty body passed the size check and read as 3 empty points
+    path = tmp_path / "z.bin"
+    path.write_bytes(ulds_header(0, 3))
+    with pytest.raises(InvalidInput, match=f"^{re.escape(str(path))}: header gives dimension 0$"):
+        read_samples(path)
+
+
+def test_bin_zero_count_says_no_samples(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(ulds_header(3, 0))
+    with pytest.raises(InvalidInput, match=f"^{re.escape(str(path))}: no samples$"):
         read_samples(path)

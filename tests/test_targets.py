@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -337,6 +338,71 @@ class TestGradInFrame:
         assert calls == [4]
         reference = base.grad_oracle(y @ vectors.T) @ vectors
         assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @staticmethod
+    def folded_logistic(rows=300, d=5, seed=47):
+        """A logistic target, a frame V and D = V^T B, B = (y_i a_i)^T stored C-contiguous
+        as the target stores it."""
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((rows, d))
+        labels = np.where(rng.standard_normal(rows) > 0, 1.0, -1.0)
+        vectors = TestGradInFrame.frame(d, seed)
+        design = vectors.T @ np.ascontiguousarray((features * labels[:, None]).T)
+        return make_logistic_ridge(features, labels, ridge=0.5), vectors, design
+
+    def test_logistic_frame_oracle_is_bit_equal_across_batch_sizes_and_a_point(self):
+        # its margin buffer is kept per leading shape: (4, d), (2, d), (4, d) again, (d,)
+        target, vectors, design = self.folded_logistic()
+        oracle = target.grad_in_frame(vectors)
+        rng = np.random.default_rng(48)
+        for shape in ((4, 5), (2, 5), (4, 5), (5,)):
+            y = rng.standard_normal(shape)
+            reference = 0.5 * y - (1.0 / (1.0 + np.exp(y @ design))) @ design.T
+            got = oracle(y)
+            assert got.shape == shape and np.array_equal(got, reference)
+
+    def test_logistic_frame_oracle_at_extreme_margins_under_the_callers_errstate(self):
+        target, vectors, design = self.folded_logistic(rows=40, d=3)
+        direction = np.random.default_rng(49).standard_normal(3)
+        y = np.array([direction * (r / np.abs(direction @ design).max()) for r in (1.0, 1e4, 1e5)])
+        z = y @ design
+        assert (z[1:].max(axis=1) > 750.0).all() and (z[1:].min(axis=1) < -750.0).all()
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            got = target.grad_in_frame(vectors)(y)
+        reference = 0.5 * y - expit(-z) @ design.T
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, reference, rtol=1e-13)
+
+    def test_two_logistic_frame_oracles_interleaved_match_their_solo_runs(self):
+        target, vectors, _ = self.folded_logistic()
+        frames = (vectors, self.frame(5, seed=50))
+        rng = np.random.default_rng(51)
+        ys = [rng.standard_normal((4, 5)) for _ in range(3)]
+        solo = [[target.grad_in_frame(v)(y) for y in ys] for v in frames]
+        oracles = [target.grad_in_frame(v) for v in frames]
+        got = [[], []]
+        for y in ys:
+            for results, oracle in zip(got, oracles):
+                results.append(oracle(y))
+        # each result is its own: the calls after it do not write over it
+        for results, expected in zip(got, solo):
+            assert all(np.array_equal(a, b) for a, b in zip(results, expected))
+
+    def test_logistic_frame_oracle_makes_no_per_call_margin_array(self):
+        rows = 2000
+        target, vectors, _ = self.folded_logistic(rows=rows)
+        oracle = target.grad_in_frame(vectors)
+        y = np.random.default_rng(52).standard_normal((4, 5))
+        oracle(y)  # allocates the (4, rows) buffer
+        tracemalloc.start()
+        try:
+            for _ in range(50):
+                oracle(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * rows * 8
 
 
 class TestInitSpec:
